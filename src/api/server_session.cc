@@ -299,8 +299,16 @@ size_t ServerSession::OpenShardLocked() {
   return id;
 }
 
-void ServerSession::DrainShard(size_t shard) const {
-  if (pool_ != nullptr) pool_->WaitSerial(shard);
+void ServerSession::DrainShard(size_t shard,
+                               std::unique_lock<std::mutex>* lock) const {
+  if (pool_ == nullptr) return;
+  AsyncShardState* async = shards_[shard].async.get();
+  lock->unlock();
+  pool_->WaitSerial(shard);
+  // An inline decode holds the flow mutex end to end; taking it once waits
+  // that decode out.
+  { std::lock_guard<std::mutex> flow(async->mutex); }
+  lock->lock();
 }
 
 Status ServerSession::Feed(size_t shard, const char* data, size_t size) {
@@ -309,22 +317,43 @@ Status ServerSession::Feed(size_t shard, const char* data, size_t size) {
     std::lock_guard<std::mutex> lock(*mutex_);
     return FeedLocked(shard, data, size);
   }
-  // Concurrent path: the chunk copy — what lets the caller reuse its buffer
-  // immediately — happens before the session lock, so producers feeding
-  // different shards only serialize on the O(1) enqueue, not the memcpy.
-  std::string chunk(data, size);
   // Grab the shard's flow-control block (and fail fast on a bad id).
   std::shared_ptr<AsyncShardState> async;
   {
-    std::lock_guard<std::mutex> lock(*mutex_);
+    std::unique_lock<std::mutex> lock(*mutex_);
     if (shard >= shards_.size()) {
       return Status::OutOfRange("unknown shard id");
     }
-    if (shards_[shard].ingester == nullptr) {
+    ShardState& state = shards_[shard];
+    if (state.ingester == nullptr) {
       return Status::FailedPrecondition("shard is already closed");
     }
-    async = shards_[shard].async;
+    if (size < kInlineFeedBytes) {
+      // Inline path: a small chunk on a shard with nothing queued decodes
+      // right here — no copy, no pool task. The flow mutex is taken before
+      // the session mutex drops, so a racing CloseShard (which detaches
+      // under the session mutex, then takes the flow mutex) cannot free the
+      // ingester mid-decode; the session mutex itself is released so other
+      // shards keep flowing during the decode.
+      AsyncShardState& flow_state = *state.async;
+      std::unique_lock<std::mutex> flow(flow_state.mutex);
+      if (flow_state.pending_bytes == 0) {
+        stream::ShardIngester* ingester = state.ingester.get();
+        lock.unlock();
+        if (!flow_state.status.ok()) return flow_state.status;
+        // Deferred like a worker-side error: recorded as the shard's
+        // sticky status, surfaced by the next Feed/ShardStats/CloseShard.
+        const Status fed = ingester->Feed(data, size);
+        if (!fed.ok()) flow_state.status = fed;
+        return Status::OK();
+      }
+    }
+    async = state.async;
   }
+  // Queued path: the chunk copy — what lets the caller reuse its buffer
+  // immediately — happens outside the session lock, so producers feeding
+  // different shards only serialize on the O(1) enqueue, not the memcpy.
+  std::string chunk(data, size);
   // Backpressure, outside every session lock so other shards keep flowing:
   // wait until the shard's queued bytes drop below the bound (workers only
   // consume, so the wait always terminates — a drain or poisoned stream
@@ -410,15 +439,11 @@ Status ServerSession::CloseShard(size_t shard) {
   if (ingester == nullptr) {
     return Status::FailedPrecondition("shard is already closed");
   }
-  if (pool_ != nullptr) {
-    // Drain without the session lock: other shards' producers keep
-    // enqueueing while this shard's backlog decodes.
-    lock.unlock();
-    DrainShard(shard);
-    lock.lock();
-  }
-  // Finish() reports any framing error a worker hit (the ingester's status
-  // is sticky).
+  // Drain without the session lock: other shards' producers keep
+  // enqueueing while this shard's backlog decodes.
+  DrainShard(shard, &lock);
+  // Finish() reports any framing error a queued or inline decode hit (the
+  // ingester's status is sticky).
   const Status finished = ingester->Finish();
   shards_[shard].final_stats = ingester->stats();
   // A failed shard contributes nothing: its aggregate is discarded so one
@@ -454,11 +479,7 @@ Result<stream::ShardIngester::Stats> ServerSession::AbandonShard(
   if (ingester == nullptr) {
     return Status::FailedPrecondition("shard is already closed");
   }
-  if (pool_ != nullptr) {
-    lock.unlock();
-    DrainShard(shard);
-    lock.lock();
-  }
+  DrainShard(shard, &lock);
   shards_[shard].final_stats = ingester->stats();
   --open_shards_;
   if (metrics_.enabled()) metrics_.shards_abandoned->Increment();
@@ -478,15 +499,11 @@ Result<stream::ShardIngester::Stats> ServerSession::ShardStats(
   if (shards_[shard].ingester == nullptr) {
     return shards_[shard].final_stats;
   }
-  if (pool_ != nullptr) {
-    // Drain without the session lock (other shards keep flowing), then
-    // re-check: the shard may have been closed while unlocked.
-    lock.unlock();
-    DrainShard(shard);
-    lock.lock();
-    if (shards_[shard].ingester == nullptr) {
-      return shards_[shard].final_stats;
-    }
+  // Drain without the session lock (other shards keep flowing), then
+  // re-check: the shard may have been closed while unlocked.
+  DrainShard(shard, &lock);
+  if (shards_[shard].ingester == nullptr) {
+    return shards_[shard].final_stats;
   }
   return shards_[shard].ingester->stats();
 }

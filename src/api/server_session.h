@@ -25,7 +25,10 @@
 // surface is additionally thread-safe (one internal mutex), so multiple
 // producer threads may feed disjoint shards; calls targeting the *same*
 // shard must still be externally ordered, or "per-shard FIFO" has no
-// meaning.
+// meaning. A chunk smaller than kInlineFeedBytes fed to a shard with
+// nothing queued skips the pool and decodes on the calling thread (no copy,
+// no task); FIFO still holds because a chunk only goes inline when no
+// earlier chunk of its shard is pending.
 //
 // Accounting model: every user in the population reports once per epoch, so
 // the campaign-plan spend is charged to the anonymous ledger
@@ -104,13 +107,21 @@ struct SessionSnapshotConfig {
 Result<SessionSnapshotConfig> DecodeSessionSnapshotConfig(
     const std::string& bytes);
 
+/// Concurrent sessions decode a chunk smaller than this on the Feed caller's
+/// thread when its shard has nothing queued (see ServerSession::Feed). One
+/// reporter's HELLO header and DATA message sit well below it; a client's
+/// 256 KiB upload batches sit well above it and keep the pool's parallelism.
+inline constexpr size_t kInlineFeedBytes = 8u << 10;
+
 struct ServerSessionOptions {
   /// Per-shard framing/rejection policy (stream/shard_ingester.h).
   stream::ShardIngester::Options ingest;
   /// Workers decoding open shards concurrently within an epoch. At <= 1 the
   /// session is fully synchronous (the historical behavior); at >= 2 it owns
-  /// a ThreadPool and Feed enqueues chunks on the shard's serial queue. The
-  /// thread count never changes results — only throughput.
+  /// a ThreadPool and Feed enqueues chunks on the shard's serial queue —
+  /// except a chunk under kInlineFeedBytes whose shard has nothing queued,
+  /// which decodes inline on the calling thread. The thread count and the
+  /// inline/queued split never change results — only throughput.
   unsigned ingest_threads = 0;
   /// Backpressure bound for concurrent sessions: Feed blocks (without
   /// holding the session lock) while a shard has at least this many bytes
@@ -174,8 +185,10 @@ class ServerSession {
   /// Feeds `size` bytes of shard `shard`'s stream; chunks may be arbitrary.
   /// Synchronous sessions consume in place and return the shard's sticky
   /// stream status. Concurrent sessions copy the chunk, enqueue it on the
-  /// shard's serial queue, and return OK; a framing error discovered on a
-  /// worker makes *later* Feed calls on that shard return it, and CloseShard
+  /// shard's serial queue, and return OK — or, for a chunk under
+  /// kInlineFeedBytes on a shard with nothing queued, decode it in place on
+  /// the calling thread and return OK. Either way a framing error is
+  /// deferred: *later* Feed calls on that shard return it, and CloseShard
   /// always reports it.
   Status Feed(size_t shard, const char* data, size_t size);
   Status Feed(size_t shard, const std::string& bytes) {
@@ -245,10 +258,18 @@ class ServerSession {
   friend class Pipeline;
 
   /// A concurrent shard's flow-control block: the sticky framing error its
-  /// worker tasks surface to later Feed calls, and the queued-byte count
-  /// behind Options::max_pending_feed_bytes. Heap-allocated with its own
-  /// lock so workers can touch it while the session mutex is held by a
-  /// drain (CloseShard), and so its address survives shards_ reallocation.
+  /// decodes surface to later Feed calls, and the queued-byte count behind
+  /// Options::max_pending_feed_bytes. Heap-allocated with its own lock so
+  /// workers can touch it while the session mutex is held by a drain
+  /// (CloseShard), and so its address survives shards_ reallocation.
+  ///
+  /// `mutex` also serializes the inline path: Feed decodes a chunk under
+  /// kInlineFeedBytes on the calling thread only while pending_bytes == 0,
+  /// holding `mutex` (never the session mutex) for the whole decode. A
+  /// queued chunk counts in pending_bytes from before its submission until
+  /// its decode returns, so an inline decode never overtakes or overlaps a
+  /// queued one, and drains take `mutex` after the pool wait to let an
+  /// in-flight inline decode finish.
   struct AsyncShardState {
     std::mutex mutex;
     Status status = Status::OK();
@@ -287,11 +308,12 @@ class ServerSession {
   };
   ReporterMetricHandles ReporterMetrics(const std::string& reporter_id);
 
-  /// Blocks until shard `shard`'s queued chunks are decoded (no-op on
-  /// synchronous sessions). Callers drop mutex_ for the wait so other
-  /// shards keep flowing, though holding it would not deadlock — worker
-  /// tasks never take it.
-  void DrainShard(size_t shard) const;
+  /// Blocks until shard `shard`'s queued chunks and any in-flight inline
+  /// decode are done (no-op on synchronous sessions). `lock` holds mutex_
+  /// on entry and on return; it is dropped for the wait so other shards
+  /// keep flowing, though holding it would not deadlock — decodes never
+  /// take it.
+  void DrainShard(size_t shard, std::unique_lock<std::mutex>* lock) const;
 
   std::shared_ptr<const internal_api::PipelineState> state_;
   PrivacyAccountant accountant_;

@@ -9,8 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -411,6 +413,161 @@ TEST(ConcurrentSessionTest, BackpressureBoundPreservesResultsWithoutDeadlock) {
   FeedInterleaved(&server.value(), shards, /*chunk_seed=*/31);
   EXPECT_EQ(server.value().Snapshot(), reference.Snapshot());
   ExpectSameEstimates(server.value(), reference, 0);
+}
+
+TEST(ConcurrentSessionTest, SmallChunksQueueBehindAPendingLargeOne) {
+  // A chunk of at least kInlineFeedBytes always queues on the pool; a small
+  // chunk fed right behind it finds it pending and must queue too rather
+  // than decode inline ahead of it. Alternating large and small chunks over
+  // whole shards pins that: any overtaking would tear frames apart.
+  auto census = data::MakeBrazilCensus(8000, 3);
+  ASSERT_TRUE(census.ok());
+  const data::Dataset dataset = data::NormalizeNumeric(census.value());
+  const api::Pipeline pipeline = MakePipeline(dataset, 1);
+  auto client = pipeline.NewClient();
+  ASSERT_TRUE(client.ok());
+  const std::vector<std::string> shards =
+      WriteShards(dataset, client.value(), kSeed, 2);
+  for (const std::string& shard : shards) {
+    ASSERT_GT(shard.size(), 4 * api::kInlineFeedBytes);
+  }
+
+  api::ServerSession reference = MakeServer(pipeline, 0);
+  FeedWholeShards(&reference, shards);
+
+  const size_t pattern[] = {api::kInlineFeedBytes, 97,
+                            2 * api::kInlineFeedBytes + 5, 1,
+                            api::kInlineFeedBytes + 1, 300};
+  for (const unsigned threads : {2u, 4u}) {
+    api::ServerSession session = MakeServer(pipeline, threads);
+    std::vector<size_t> ids;
+    std::vector<size_t> offsets(shards.size(), 0);
+    for (size_t s = 0; s < shards.size(); ++s) {
+      ids.push_back(session.OpenShard());
+    }
+    for (size_t step = 0, left = 1; left > 0; ++step) {
+      left = 0;
+      for (size_t s = 0; s < shards.size(); ++s) {
+        const size_t take = std::min(pattern[step % std::size(pattern)],
+                                     shards[s].size() - offsets[s]);
+        ASSERT_TRUE(
+            session.Feed(ids[s], shards[s].data() + offsets[s], take).ok());
+        offsets[s] += take;
+        left += shards[s].size() - offsets[s];
+      }
+    }
+    for (const size_t id : ids) {
+      ASSERT_TRUE(session.CloseShard(id).ok());
+    }
+    EXPECT_EQ(session.Snapshot(), reference.Snapshot())
+        << "ingest_threads=" << threads;
+    ExpectSameEstimates(session, reference, 0);
+  }
+}
+
+TEST(ConcurrentSessionTest, DrainPointsRaceSmallChunkFeedsOnOtherShards) {
+  // Producers feed honest shards in inline-sized chunks while another
+  // thread drives ShardStats, AbandonShard and CloseShard on decoy shards
+  // that are themselves fed inline. The drain points must wait out inline
+  // decodes (TSan checks the handoff), and the decoys contribute nothing.
+  const data::Dataset dataset = MakeData();
+  const api::Pipeline pipeline = MakePipeline(dataset, 1);
+  auto client = pipeline.NewClient();
+  ASSERT_TRUE(client.ok());
+  const std::vector<std::string> shards =
+      WriteShards(dataset, client.value(), kSeed, kShards);
+
+  api::ServerSession reference = MakeServer(pipeline, 0);
+  FeedWholeShards(&reference, shards);
+
+  api::ServerSession session = MakeServer(pipeline, 2);
+  std::vector<size_t> ids;
+  for (size_t s = 0; s < shards.size(); ++s) {
+    ids.push_back(session.OpenShard());
+  }
+  std::atomic<size_t> producers_running{2};
+  std::thread decoys([&session, &shards, &producers_running] {
+    for (size_t round = 0; round < 4 || producers_running.load() > 0;
+         ++round) {
+      const std::string& honest = shards[round % shards.size()];
+      const size_t abandoned = session.OpenShard();
+      EXPECT_TRUE(FeedShardsInterleaved(&session, {abandoned}, {&honest},
+                                        /*chunk_seed=*/900 + round,
+                                        /*max_chunk=*/256)
+                      .ok());
+      auto stats = session.ShardStats(abandoned);
+      ASSERT_TRUE(stats.ok());
+      EXPECT_EQ(stats.value().bytes, honest.size());
+      auto final_stats = session.AbandonShard(abandoned);
+      ASSERT_TRUE(final_stats.ok());
+      EXPECT_EQ(final_stats.value().bytes, honest.size());
+
+      const size_t poisoned = session.OpenShard();
+      EXPECT_TRUE(session.Feed(poisoned, std::string(64, 'x')).ok());
+      EXPECT_FALSE(session.CloseShard(poisoned).ok());
+    }
+  });
+  std::vector<std::thread> producers;
+  for (size_t p = 0; p < 2; ++p) {
+    producers.emplace_back([p, &session, &ids, &shards, &producers_running] {
+      std::vector<size_t> mine;
+      std::vector<const std::string*> streams;
+      for (size_t s = p; s < shards.size(); s += 2) {
+        mine.push_back(ids[s]);
+        streams.push_back(&shards[s]);
+      }
+      EXPECT_TRUE(FeedShardsInterleaved(&session, mine, streams,
+                                        /*chunk_seed=*/321 + p,
+                                        /*max_chunk=*/128)
+                      .ok());
+      producers_running.fetch_sub(1);
+    });
+  }
+  for (std::thread& producer : producers) producer.join();
+  decoys.join();
+  for (const size_t id : ids) {
+    ASSERT_TRUE(session.CloseShard(id).ok());
+  }
+
+  EXPECT_EQ(session.Snapshot(), reference.Snapshot());
+  ExpectSameEstimates(session, reference, 0);
+}
+
+TEST(ConcurrentSessionTest, AbandonWaitsOutAnInFlightInlineDecode) {
+  // A drain point racing small-chunk Feeds on the *same* shard: each Feed
+  // either decodes inline before the detach, and the drain waits it out,
+  // or finds the shard closed. The ingester is never read or freed
+  // mid-decode (TSan and ASan check that), and the abandoned shard
+  // contributes nothing.
+  const data::Dataset dataset = MakeData();
+  const api::Pipeline pipeline = MakePipeline(dataset, 1);
+  auto client = pipeline.NewClient();
+  ASSERT_TRUE(client.ok());
+  const std::string bytes =
+      WriteShards(dataset, client.value(), kSeed, 1).front();
+
+  api::ServerSession session = MakeServer(pipeline, 2);
+  const std::string empty_snapshot = session.Snapshot();
+  const size_t shard = session.OpenShard();
+  std::atomic<size_t> fed_bytes{0};
+  std::thread feeder([&session, &bytes, &fed_bytes, shard] {
+    for (size_t offset = 0; offset < bytes.size(); offset += 16) {
+      const size_t take = std::min<size_t>(16, bytes.size() - offset);
+      const Status fed = session.Feed(shard, bytes.data() + offset, take);
+      if (!fed.ok()) {
+        EXPECT_EQ(fed.code(), StatusCode::kFailedPrecondition);
+        return;
+      }
+      fed_bytes.fetch_add(take);
+    }
+  });
+  while (fed_bytes.load() == 0) std::this_thread::yield();
+  auto stats = session.AbandonShard(shard);
+  feeder.join();
+  ASSERT_TRUE(stats.ok());
+  EXPECT_GT(stats.value().bytes, 0u);
+  EXPECT_LE(stats.value().bytes, fed_bytes.load());
+  EXPECT_EQ(session.Snapshot(), empty_snapshot);
 }
 
 TEST(ConcurrentSessionTest, FeedAfterCloseFails) {

@@ -1,9 +1,11 @@
 #include "data/csv.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 namespace ldp::data {
 namespace {
@@ -11,7 +13,12 @@ namespace {
 class CsvTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/ldp_csv_test.csv";
+    // ctest runs every case as its own process, concurrently under -j, so
+    // the path is unique per process and test.
+    path_ = ::testing::TempDir() + "/ldp_csv_test_" +
+            std::to_string(::getpid()) + "_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            ".csv";
   }
   void TearDown() override { std::remove(path_.c_str()); }
 

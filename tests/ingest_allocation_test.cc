@@ -13,7 +13,10 @@
 #include <sstream>
 #include <string>
 
+#include "api/pipeline.h"
+#include "api/server_session.h"
 #include "core/mixed_collector.h"
+#include "data/schema.h"
 #include "stream/report_stream.h"
 #include "stream/shard_ingester.h"
 #include "util/random.h"
@@ -151,6 +154,83 @@ TEST(IngestAllocationTest, ByteAtATimeSteadyStateIsAllocationFree) {
   ASSERT_TRUE(ingester.Finish().ok());
   EXPECT_EQ(ingester.stats().accepted, 600u);
   EXPECT_EQ(allocations_after - allocations_before, 0u);
+}
+
+TEST(IngestAllocationTest, ConcurrentSessionSmallChunkFeedIsAllocationFree) {
+  // A concurrent ServerSession decodes a chunk under kInlineFeedBytes on the
+  // calling thread when its shard has nothing queued: no chunk copy, no pool
+  // task. Once the shard is warmed up, such Feed calls allocate nothing.
+  auto schema = data::Schema::Create({data::ColumnSpec::Numeric("a", -1, 1),
+                                      data::ColumnSpec::Categorical("b", 8),
+                                      data::ColumnSpec::Numeric("c", -1, 1),
+                                      data::ColumnSpec::Categorical("d", 32)});
+  ASSERT_TRUE(schema.ok());
+  auto config = api::PipelineConfig::FromSchema(schema.value(), 4.0);
+  ASSERT_TRUE(config.ok());
+  auto pipeline = api::Pipeline::Create(std::move(config).value());
+  ASSERT_TRUE(pipeline.ok());
+  auto client = pipeline.value().NewClient();
+  ASSERT_TRUE(client.ok());
+  constexpr uint64_t kReports = 4000;
+  std::string bytes = client.value().EncodeHeader();
+  MixedTuple tuple(4);
+  for (uint64_t user = 0; user < kReports; ++user) {
+    tuple[0] = AttributeValue::Numeric((user % 200) / 100.0 - 1.0);
+    tuple[1] = AttributeValue::Categorical(user % 8);
+    tuple[2] = AttributeValue::Numeric(0.25);
+    tuple[3] = AttributeValue::Categorical(user % 32);
+    Rng rng = api::UserRng(21, user);
+    auto payload = client.value().EncodeReport(tuple, &rng);
+    ASSERT_TRUE(payload.ok());
+    ASSERT_TRUE(AppendFrame(payload.value(), &bytes).ok());
+  }
+  // The last kInlineFeedBytes go in as one chunk after the measured window.
+  ASSERT_GT(bytes.size(), 4 * api::kInlineFeedBytes);
+  const size_t tail_begin = bytes.size() - api::kInlineFeedBytes;
+
+  api::ServerSessionOptions options;
+  options.ingest_threads = 2;
+  auto server = pipeline.value().NewServer(options);
+  ASSERT_TRUE(server.ok());
+  api::ServerSession& session = server.value();
+  const size_t shard = session.OpenShard();
+
+  constexpr size_t kChunk = 512;
+  static_assert(kChunk < api::kInlineFeedBytes);
+  const size_t warmup_end = bytes.size() / 2;
+  size_t cursor = 0;
+  while (cursor < warmup_end) {
+    const size_t take = std::min(kChunk, warmup_end - cursor);
+    ASSERT_TRUE(session.Feed(shard, bytes.data() + cursor, take).ok());
+    cursor += take;
+  }
+
+  const uint64_t allocations_before =
+      g_allocation_count.load(std::memory_order_relaxed);
+  while (cursor < tail_begin) {
+    const size_t take = std::min(kChunk, tail_begin - cursor);
+    session.Feed(shard, bytes.data() + cursor, take);
+    cursor += take;
+  }
+  const uint64_t allocations_after =
+      g_allocation_count.load(std::memory_order_relaxed);
+
+  // Control: a chunk at the bound takes the queued path, which copies it
+  // and submits a pool task — the counter must see those allocations.
+  ASSERT_TRUE(session.Feed(shard, bytes.data() + tail_begin,
+                           bytes.size() - tail_begin)
+                  .ok());
+  const uint64_t allocations_queued =
+      g_allocation_count.load(std::memory_order_relaxed);
+
+  auto stats = session.ShardStats(shard);
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats.value().accepted, kReports);
+  ASSERT_TRUE(session.CloseShard(shard).ok());
+  EXPECT_EQ(allocations_after - allocations_before, 0u)
+      << "small-chunk Feed allocated "
+      << (allocations_after - allocations_before) << " times";
+  EXPECT_GT(allocations_queued, allocations_after);
 }
 
 }  // namespace

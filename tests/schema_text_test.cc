@@ -1,8 +1,10 @@
 #include "data/schema_text.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
+#include <string>
 
 #include "data/census.h"
 
@@ -69,7 +71,13 @@ TEST(SchemaTextRoundTripTest, CensusSchemasRoundTrip) {
 }
 
 TEST(SchemaFileTest, WriteAndReadBack) {
-  const std::string path = ::testing::TempDir() + "/ldp_schema_test.schema";
+  // Unique per process and test: ctest -j runs cases concurrently.
+  const std::string path = ::testing::TempDir() + "/ldp_schema_test_" +
+                           std::to_string(::getpid()) + "_" +
+                           ::testing::UnitTest::GetInstance()
+                               ->current_test_info()
+                               ->name() +
+                           ".schema";
   auto census = MakeMexicoCensus(1, 1);
   ASSERT_TRUE(census.ok());
   ASSERT_TRUE(WriteSchemaFile(census.value().schema(), path).ok());
