@@ -7,10 +7,12 @@
 // kinds (GRR / SUE / OUE / OLH / HE — the payload encodings differ by
 // orders of magnitude in bytes/report) and the Algorithm-4 numeric stream
 // kind, × shard counts (1 shard = the single-core hot loop; more shards
-// exercise the parallel ordered reduction). Measures the full server path
-// (frame scan → zero-copy wire decode → validation → aggregator
-// accumulation → ordered shard merge) over pre-encoded in-memory shards, so
-// client-side perturbation cost is excluded.
+// exercise concurrent decode and the ordered reduction). Every row drives
+// api::ServerSession, the one ingest engine under ldp_aggregate and every
+// transport, and measures its full path (chunk feed → frame scan →
+// zero-copy wire decode → validation → aggregator accumulation → ordered
+// shard merge) over pre-encoded in-memory shards, so client-side
+// perturbation cost is excluded.
 //
 //   LDP_BENCH_USERS   total reports across shards (default 1000000)
 //   LDP_BENCH_FAST=1  shrink for smoke runs (100000)
@@ -21,7 +23,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -32,8 +33,6 @@
 #include "bench_util.h"
 #include "core/sampled_numeric.h"
 #include "obs/metrics.h"
-#include "stream/aggregator_handle.h"
-#include "stream/parallel_ingest.h"
 #include "stream/report_stream.h"
 #include "util/build_info.h"
 #include "util/random.h"
@@ -43,20 +42,91 @@ namespace {
 
 using namespace ldp;  // NOLINT: benchmark binary
 
+constexpr size_t kChunkBytes = 256 * 1024;
+
+api::Pipeline MakePipeline(std::vector<MixedAttribute> attributes,
+                           FrequencyOracleKind oracle) {
+  api::PipelineConfig config;
+  config.attributes = std::move(attributes);
+  config.epsilon = 4.0;
+  config.mechanism = MechanismKind::kHybrid;
+  config.oracle = oracle;
+  auto pipeline = api::Pipeline::Create(std::move(config));
+  if (!pipeline.ok()) {
+    std::fprintf(stderr, "%s\n", pipeline.status().ToString().c_str());
+    std::exit(1);
+  }
+  return std::move(pipeline).value();
+}
+
 // A census-like 8-attribute mixed schema; `oracle` picks the categorical
 // frequency oracle under sweep.
-MixedTupleCollector MakeCollector(FrequencyOracleKind oracle) {
-  auto collector = MixedTupleCollector::Create(
+api::Pipeline MakeMixedPipeline(FrequencyOracleKind oracle) {
+  return MakePipeline(
       {MixedAttribute::Numeric(), MixedAttribute::Categorical(8),
        MixedAttribute::Numeric(), MixedAttribute::Categorical(16),
        MixedAttribute::Numeric(), MixedAttribute::Categorical(4),
        MixedAttribute::Numeric(), MixedAttribute::Categorical(32)},
-      4.0, MechanismKind::kHybrid, oracle);
-  if (!collector.ok()) {
-    std::fprintf(stderr, "%s\n", collector.status().ToString().c_str());
-    std::exit(1);
+      oracle);
+}
+
+// Times `shards` through a fresh session built with `options`, the way a
+// network frontend delivers them: every shard opened up front, fed in
+// kChunkBytes pieces round-robin across shards, then closed (merged) in
+// shard order. Session construction (pool start-up) is outside the clock.
+// Returns the seconds taken, or a negative value when the session refused
+// anything or lost reports.
+double TimeSessionIngest(const api::Pipeline& pipeline,
+                         const std::vector<std::string>& shards,
+                         uint64_t reports,
+                         const api::ServerSessionOptions& options) {
+  auto server = pipeline.NewServer(options);
+  if (!server.ok()) {
+    std::fprintf(stderr, "%s\n", server.status().ToString().c_str());
+    return -1.0;
   }
-  return std::move(collector).value();
+  api::ServerSession& session = server.value();
+
+  const auto started = std::chrono::steady_clock::now();
+  std::vector<size_t> ids;
+  std::vector<size_t> offsets(shards.size(), 0);
+  ids.reserve(shards.size());
+  for (size_t s = 0; s < shards.size(); ++s) {
+    ids.push_back(session.OpenShard());
+  }
+  for (bool fed = true; fed;) {
+    fed = false;
+    for (size_t s = 0; s < shards.size(); ++s) {
+      const size_t left = shards[s].size() - offsets[s];
+      if (left == 0) continue;
+      const size_t take = std::min(kChunkBytes, left);
+      if (!session.Feed(ids[s], shards[s].data() + offsets[s], take).ok()) {
+        std::fprintf(stderr, "session feed failed\n");
+        return -1.0;
+      }
+      offsets[s] += take;
+      fed = true;
+    }
+  }
+  for (const size_t id : ids) {
+    const Status closed = session.CloseShard(id);
+    if (!closed.ok()) {
+      std::fprintf(stderr, "session close failed: %s\n",
+                   closed.ToString().c_str());
+      return -1.0;
+    }
+  }
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                    started)
+          .count();
+  auto ingested = session.num_reports(0);
+  if (!ingested.ok() || ingested.value() != reports) {
+    std::fprintf(stderr, "session ingest dropped reports: expected %llu\n",
+                 static_cast<unsigned long long>(reports));
+    return -1.0;
+  }
+  return seconds;
 }
 
 std::vector<std::string> EncodeShards(const MixedTupleCollector& collector,
@@ -131,6 +201,25 @@ struct SweepResult {
   double overhead_pct = 0.0;
 };
 
+// Fills `row`'s size and speed columns from `shards` and `seconds`, prints
+// it under `label`, and appends it to `results`.
+void Record(const char* label, const std::vector<std::string>& shards,
+            uint64_t reports, double seconds, SweepResult row,
+            std::vector<SweepResult>* results) {
+  uint64_t total_bytes = 0;
+  for (const std::string& shard : shards) total_bytes += shard.size();
+  row.bytes_per_report =
+      static_cast<double>(total_bytes) / static_cast<double>(reports);
+  row.seconds = seconds;
+  row.reports_per_sec = static_cast<double>(reports) / seconds;
+  row.mib_per_sec =
+      static_cast<double>(total_bytes) / seconds / (1024.0 * 1024.0);
+  results->push_back(row);
+  std::printf("%-8s %8zu %8u %10.1f %10.3f %14.0f %10.1f\n", label, row.shards,
+              row.threads, row.bytes_per_report, row.seconds,
+              row.reports_per_sec, row.mib_per_sec);
+}
+
 }  // namespace
 
 int main() {
@@ -166,232 +255,99 @@ int main() {
 
   std::vector<SweepResult> results;
   for (const auto& oracle : kOracles) {
-    const MixedTupleCollector collector = MakeCollector(oracle.kind);
+    const api::Pipeline pipeline = MakeMixedPipeline(oracle.kind);
     for (const size_t num_shards : shard_counts) {
       const std::vector<std::string> shards =
-          EncodeShards(collector, reports, num_shards);
-      uint64_t total_bytes = 0;
-      for (const std::string& shard : shards) total_bytes += shard.size();
+          EncodeShards(pipeline.mixed_collector(), reports, num_shards);
 
       const unsigned threads = std::min(static_cast<unsigned>(num_shards),
                                         std::max(hardware, 1u));
-      std::unique_ptr<ThreadPool> pool;
-      if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
-
-      const auto started = std::chrono::steady_clock::now();
-      auto total = stream::IngestShardBuffers(collector, shards, pool.get());
+      api::ServerSessionOptions options;
+      options.ingest_threads = threads;
       const double seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        started)
-              .count();
-      if (!total.ok()) {
-        std::fprintf(stderr, "ingest failed: %s\n",
-                     total.status().ToString().c_str());
-        return 1;
-      }
-      if (total.value().num_reports() != reports) {
-        std::fprintf(stderr,
-                     "ingest dropped reports: expected %llu, got %llu\n",
-                     static_cast<unsigned long long>(reports),
-                     static_cast<unsigned long long>(
-                         total.value().num_reports()));
-        return 1;
-      }
+          TimeSessionIngest(pipeline, shards, reports, options);
+      if (seconds < 0.0) return 1;
 
-      SweepResult result;
-      result.oracle = oracle.name;
-      result.shards = num_shards;
-      result.threads = threads;
-      result.bytes_per_report =
-          static_cast<double>(total_bytes) / static_cast<double>(reports);
-      result.seconds = seconds;
-      result.reports_per_sec = static_cast<double>(reports) / seconds;
-      result.mib_per_sec =
-          static_cast<double>(total_bytes) / seconds / (1024.0 * 1024.0);
-      results.push_back(result);
-      std::printf("%-8s %8zu %8u %10.1f %10.3f %14.0f %10.1f\n", result.oracle,
-                  result.shards, result.threads, result.bytes_per_report,
-                  result.seconds, result.reports_per_sec, result.mib_per_sec);
+      SweepResult row;
+      row.oracle = oracle.name;
+      row.shards = num_shards;
+      row.threads = threads;
+      Record(oracle.name, shards, reports, seconds, row, &results);
     }
   }
 
   // Algorithm-4 numeric stream kind over the same shard sweep.
-  auto mechanism = SampledNumericMechanism::Create(MechanismKind::kHybrid,
-                                                   4.0, 8);
-  if (!mechanism.ok()) {
-    std::fprintf(stderr, "%s\n", mechanism.status().ToString().c_str());
-    return 1;
-  }
-  const stream::NumericAggregatorHandle prototype(&mechanism.value(),
-                                                  MechanismKind::kHybrid);
+  const api::Pipeline numeric_pipeline = MakePipeline(
+      std::vector<MixedAttribute>(8, MixedAttribute::Numeric()),
+      FrequencyOracleKind::kOue);
   for (const size_t num_shards : shard_counts) {
-    const std::vector<std::string> shards =
-        EncodeNumericShards(mechanism.value(), reports, num_shards);
-    uint64_t total_bytes = 0;
-    for (const std::string& shard : shards) total_bytes += shard.size();
+    const std::vector<std::string> shards = EncodeNumericShards(
+        *numeric_pipeline.numeric_mechanism(), reports, num_shards);
 
     const unsigned threads = std::min(static_cast<unsigned>(num_shards),
                                       std::max(hardware, 1u));
-    std::unique_ptr<ThreadPool> pool;
-    if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
-    std::vector<stream::HandleShardSource> sources;
-    for (size_t s = 0; s < shards.size(); ++s) {
-      sources.push_back(stream::HandleStreamBufferSource(
-          prototype, "shard " + std::to_string(s), &shards[s],
-          stream::ShardIngester::Options()));
-    }
-
-    const auto started = std::chrono::steady_clock::now();
-    auto total = stream::IngestHandleSources(prototype, sources, pool.get());
+    api::ServerSessionOptions options;
+    options.ingest_threads = threads;
     const double seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      started)
-            .count();
-    if (!total.ok()) {
-      std::fprintf(stderr, "numeric ingest failed: %s\n",
-                   total.status().ToString().c_str());
-      return 1;
-    }
-    if (total.value()->num_reports() != reports) {
-      std::fprintf(stderr, "numeric ingest dropped reports\n");
-      return 1;
-    }
+        TimeSessionIngest(numeric_pipeline, shards, reports, options);
+    if (seconds < 0.0) return 1;
 
-    SweepResult result;
-    result.kind = "numeric";
-    result.oracle = "-";
-    result.shards = num_shards;
-    result.threads = threads;
-    result.bytes_per_report =
-        static_cast<double>(total_bytes) / static_cast<double>(reports);
-    result.seconds = seconds;
-    result.reports_per_sec = static_cast<double>(reports) / seconds;
-    result.mib_per_sec =
-        static_cast<double>(total_bytes) / seconds / (1024.0 * 1024.0);
-    results.push_back(result);
-    std::printf("%-8s %8zu %8u %10.1f %10.3f %14.0f %10.1f\n", "NUMERIC",
-                result.shards, result.threads, result.bytes_per_report,
-                result.seconds, result.reports_per_sec, result.mib_per_sec);
+    SweepResult row;
+    row.kind = "numeric";
+    row.oracle = "-";
+    row.shards = num_shards;
+    row.threads = threads;
+    Record("NUMERIC", shards, reports, seconds, row, &results);
   }
 
-  // Concurrent ServerSession sweep: the same mixed shards pushed through
-  // api::ServerSession::Feed with a session-owned ingest pool, chunked and
-  // interleaved across shards the way a network frontend would deliver
-  // them. Tracks reports/sec of the full session path (enqueue -> strand
-  // decode -> drain -> ordered merge) as session_threads grows.
+  // Concurrent ServerSession sweep: a fixed 8 mixed shards as
+  // session_threads grows (enqueue -> strand decode -> drain -> ordered
+  // merge).
   {
-    const MixedTupleCollector collector =
-        MakeCollector(FrequencyOracleKind::kOue);
-    auto config = api::PipelineConfig{};
-    config.attributes = collector.schema();
-    config.epsilon = 4.0;
-    auto pipeline = api::Pipeline::Create(std::move(config));
-    if (!pipeline.ok()) {
-      std::fprintf(stderr, "%s\n", pipeline.status().ToString().c_str());
-      return 1;
-    }
+    const api::Pipeline pipeline =
+        MakeMixedPipeline(FrequencyOracleKind::kOue);
     constexpr size_t kSessionShards = 8;
-    constexpr size_t kChunkBytes = 256 * 1024;
     const std::vector<std::string> shards =
-        EncodeShards(collector, reports, kSessionShards);
-    uint64_t total_bytes = 0;
-    for (const std::string& shard : shards) total_bytes += shard.size();
+        EncodeShards(pipeline.mixed_collector(), reports, kSessionShards);
 
     std::vector<unsigned> thread_sweep = {1, 2, 4};
     if (hardware >= 8) thread_sweep.push_back(8);
     for (const unsigned session_threads : thread_sweep) {
       api::ServerSessionOptions options;
       options.ingest_threads = session_threads;
-      auto server = pipeline.value().NewServer(options);
-      if (!server.ok()) {
-        std::fprintf(stderr, "%s\n", server.status().ToString().c_str());
-        return 1;
-      }
-      api::ServerSession& session = server.value();
-
-      const auto started = std::chrono::steady_clock::now();
-      std::vector<size_t> ids;
-      std::vector<size_t> offsets(shards.size(), 0);
-      ids.reserve(shards.size());
-      for (size_t s = 0; s < shards.size(); ++s) {
-        ids.push_back(session.OpenShard());
-      }
-      for (bool fed = true; fed;) {
-        fed = false;
-        for (size_t s = 0; s < shards.size(); ++s) {
-          const size_t left = shards[s].size() - offsets[s];
-          if (left == 0) continue;
-          const size_t take = std::min(kChunkBytes, left);
-          if (!session.Feed(ids[s], shards[s].data() + offsets[s], take)
-                   .ok()) {
-            std::fprintf(stderr, "session feed failed\n");
-            return 1;
-          }
-          offsets[s] += take;
-          fed = true;
-        }
-      }
-      for (const size_t id : ids) {
-        if (!session.CloseShard(id).ok()) {
-          std::fprintf(stderr, "session close failed\n");
-          return 1;
-        }
-      }
       const double seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        started)
-              .count();
-      auto ingested = session.num_reports(0);
-      if (!ingested.ok() || ingested.value() != reports) {
-        std::fprintf(stderr, "session ingest dropped reports\n");
-        return 1;
-      }
+          TimeSessionIngest(pipeline, shards, reports, options);
+      if (seconds < 0.0) return 1;
 
-      SweepResult result;
-      result.kind = "session";
-      result.oracle = "OUE";
-      result.shards = kSessionShards;
-      result.threads = session_threads;
-      result.bytes_per_report =
-          static_cast<double>(total_bytes) / static_cast<double>(reports);
-      result.seconds = seconds;
-      result.reports_per_sec = static_cast<double>(reports) / seconds;
-      result.mib_per_sec =
-          static_cast<double>(total_bytes) / seconds / (1024.0 * 1024.0);
-      results.push_back(result);
-      std::printf("%-8s %8zu %8u %10.1f %10.3f %14.0f %10.1f\n", "SESSION",
-                  result.shards, result.threads, result.bytes_per_report,
-                  result.seconds, result.reports_per_sec, result.mib_per_sec);
+      SweepResult row;
+      row.kind = "session";
+      row.oracle = "OUE";
+      row.shards = kSessionShards;
+      row.threads = session_threads;
+      Record("SESSION", shards, reports, seconds, row, &results);
     }
   }
 
-  // Telemetry overhead: the single-shard OUE hot loop with IngestMetrics
-  // off vs on over the same pre-encoded buffer, min of repeats. The
-  // per-thread-sharded counters are flushed as deltas once per Feed chunk,
-  // so the on-row should sit within the ISSUE's <2% budget of the off-row.
+  // Telemetry overhead: the single-shard OUE hot loop on a synchronous
+  // session with telemetry off vs on over the same pre-encoded buffer, min
+  // of repeats. The per-thread-sharded counters are flushed as deltas once
+  // per Feed chunk, so the on-row should track the off-row closely.
   {
-    const MixedTupleCollector collector =
-        MakeCollector(FrequencyOracleKind::kOue);
-    const std::vector<std::string> shards = EncodeShards(collector, reports, 1);
-    uint64_t total_bytes = 0;
-    for (const std::string& shard : shards) total_bytes += shard.size();
+    const api::Pipeline pipeline =
+        MakeMixedPipeline(FrequencyOracleKind::kOue);
+    const std::vector<std::string> shards =
+        EncodeShards(pipeline.mixed_collector(), reports, 1);
 
     constexpr int kRepeats = 3;
-    auto best_of = [&](const stream::ShardIngester::Options& options,
+    auto best_of = [&](obs::MetricsRegistry* registry,
                        double* out_seconds) -> bool {
+      api::ServerSessionOptions options;
+      options.metrics = registry;
       double best = 0.0;
       for (int r = 0; r < kRepeats; ++r) {
-        const auto started = std::chrono::steady_clock::now();
-        auto total = stream::IngestShardBuffers(collector, shards,
-                                                /*pool=*/nullptr, options);
         const double seconds =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          started)
-                .count();
-        if (!total.ok() || total.value().num_reports() != reports) {
-          std::fprintf(stderr, "overhead sweep ingest failed\n");
-          return false;
-        }
+            TimeSessionIngest(pipeline, shards, reports, options);
+        if (seconds < 0.0) return false;
         if (r == 0 || seconds < best) best = seconds;
       }
       *out_seconds = best;
@@ -399,16 +355,14 @@ int main() {
     };
 
     double off_seconds = 0.0, on_seconds = 0.0;
-    if (!best_of(stream::ShardIngester::Options(), &off_seconds)) return 1;
+    if (!best_of(nullptr, &off_seconds)) return 1;
     obs::MetricsRegistry registry;
-    stream::ShardIngester::Options on_options;
-    on_options.metrics = obs::IngestMetrics::ForRegistry(&registry);
-    if (!best_of(on_options, &on_seconds)) return 1;
-    if (on_options.metrics.accepted->Value() !=
-        reports * static_cast<uint64_t>(kRepeats)) {
+    if (!best_of(&registry, &on_seconds)) return 1;
+    const obs::Counter* accepted =
+        obs::IngestMetrics::ForRegistry(&registry).accepted;
+    if (accepted->Value() != reports * static_cast<uint64_t>(kRepeats)) {
       std::fprintf(stderr, "metrics lost reports: counter %llu\n",
-                   static_cast<unsigned long long>(
-                       on_options.metrics.accepted->Value()));
+                   static_cast<unsigned long long>(accepted->Value()));
       return 1;
     }
     const double overhead_pct =
@@ -416,23 +370,14 @@ int main() {
                           : 0.0;
 
     for (const bool metrics_on : {false, true}) {
-      SweepResult result;
-      result.kind = metrics_on ? "metrics_on" : "metrics_off";
-      result.oracle = "OUE";
-      result.shards = 1;
-      result.threads = 1;
-      result.bytes_per_report =
-          static_cast<double>(total_bytes) / static_cast<double>(reports);
-      result.seconds = metrics_on ? on_seconds : off_seconds;
-      result.reports_per_sec = static_cast<double>(reports) / result.seconds;
-      result.mib_per_sec = static_cast<double>(total_bytes) / result.seconds /
-                           (1024.0 * 1024.0);
-      if (metrics_on) result.overhead_pct = overhead_pct;
-      results.push_back(result);
-      std::printf("%-8s %8zu %8u %10.1f %10.3f %14.0f %10.1f\n",
-                  metrics_on ? "OBS-ON" : "OBS-OFF", result.shards,
-                  result.threads, result.bytes_per_report, result.seconds,
-                  result.reports_per_sec, result.mib_per_sec);
+      SweepResult row;
+      row.kind = metrics_on ? "metrics_on" : "metrics_off";
+      row.oracle = "OUE";
+      row.shards = 1;
+      row.threads = 1;
+      if (metrics_on) row.overhead_pct = overhead_pct;
+      Record(metrics_on ? "OBS-ON" : "OBS-OFF", shards, reports,
+             metrics_on ? on_seconds : off_seconds, row, &results);
     }
     std::printf("telemetry overhead: %+.2f%% (min of %d runs)\n",
                 overhead_pct, kRepeats);

@@ -55,8 +55,7 @@ Result<SessionSnapshotConfig> ReadSessionPreamble(Reader* reader) {
   }
   uint16_t version = 0;
   LDP_ASSIGN_OR_RETURN(version, reader->U16());
-  if (version != kSessionSnapshotVersion &&
-      version != kSessionSnapshotLegacyVersion) {
+  if (version != kSessionSnapshotVersion) {
     return Status::InvalidArgument("unsupported session snapshot version");
   }
   uint8_t kind = 0, mechanism = 0, oracle = 0;
@@ -74,7 +73,6 @@ Result<SessionSnapshotConfig> ReadSessionPreamble(Reader* reader) {
     return Status::InvalidArgument("unknown oracle kind in session snapshot");
   }
   SessionSnapshotConfig config;
-  config.version = version;
   config.kind = static_cast<stream::ReportStreamKind>(kind);
   config.mechanism = static_cast<MechanismKind>(mechanism);
   config.oracle = static_cast<FrequencyOracleKind>(oracle);
@@ -110,6 +108,63 @@ uint64_t SessionSnapshotReportCount(const std::string& bytes) {
     if (reports.ok()) total += reports.value();
   }
   return total;
+}
+
+// One IngestInputs input after phase 1: a shard-sized aggregate (report
+// streams, single-epoch snapshots) or the raw bytes of a session snapshot,
+// whose epoch-aligned merge waits for the ordered phase.
+struct LoadedInput {
+  Status status = Status::OK();
+  std::unique_ptr<stream::AggregatorHandle> handle;
+  std::string session_bytes;
+  stream::ShardIngester::Stats stats;
+};
+
+// Sniffs `path`'s magic and loads it into `input`: a report stream through
+// a ShardIngester over a fresh clone of `prototype`, a snapshot by reading
+// the whole file. Touches no session state, so inputs load concurrently.
+Status LoadInput(const std::string& path,
+                 const stream::AggregatorHandle& prototype,
+                 const stream::ShardIngester::Options& options,
+                 LoadedInput* input) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in.is_open()) return Status::IoError("cannot open input file");
+  char magic_bytes[4] = {0, 0, 0, 0};
+  in.read(magic_bytes, 4);
+  if (in.gcount() != 4) {
+    return Status::InvalidArgument("input shorter than a magic");
+  }
+  in.seekg(0);
+  const uint32_t magic =
+      internal_wire::LoadLittleEndian<uint32_t>(magic_bytes);
+  if (magic == stream::kStreamMagic) {
+    stream::ShardIngester ingester(prototype.CloneEmpty(), options);
+    const Status status = ingester.IngestStream(in);
+    input->stats = ingester.stats();
+    LDP_RETURN_IF_ERROR(status);
+    input->handle = ingester.ReleaseHandle();
+    return Status::OK();
+  }
+  const bool session = magic == kSessionSnapshotMagic;
+  if (!session && magic != stream::kSnapshotMagic &&
+      magic != stream::kNumericSnapshotMagic) {
+    return Status::InvalidArgument(
+        "input is neither a report stream nor a snapshot");
+  }
+  std::ostringstream contents;
+  contents << in.rdbuf();
+  if (in.bad()) return Status::IoError("read error on input file");
+  std::string bytes = contents.str();
+  input->stats.bytes = bytes.size();
+  if (session) {
+    input->stats.accepted = SessionSnapshotReportCount(bytes);
+    input->session_bytes = std::move(bytes);
+    return Status::OK();
+  }
+  input->handle = prototype.CloneEmpty();
+  LDP_RETURN_IF_ERROR(input->handle->MergeEncodedSnapshot(bytes));
+  input->stats.accepted = input->handle->num_reports();
+  return Status::OK();
 }
 
 }  // namespace
@@ -529,8 +584,7 @@ Status ServerSession::IngestStream(std::istream& in) {
 }
 
 Status ServerSession::IngestInputs(const std::vector<std::string>& paths,
-                                   ThreadPool* pool,
-                                   stream::MultiShardSummary* summary) {
+                                   stream::ShardIngester::Stats* totals) {
   if (paths.empty()) {
     return Status::InvalidArgument("no inputs to ingest");
   }
@@ -538,90 +592,27 @@ Status ServerSession::IngestInputs(const std::vector<std::string>& paths,
   // never touch session state, and the ordered merge below must see a
   // stable epoch table.
   std::lock_guard<std::mutex> lock(*mutex_);
-  if (pool == nullptr) pool = pool_.get();
-  // Phase 1, concurrent: every input is loaded into either a shard-sized
-  // aggregate (report streams, single-epoch snapshots — via the shared
-  // stream/parallel_ingest.h loaders) or its raw bytes (session snapshots,
-  // whose epoch-aligned merge must stay ordered).
-  struct Loaded {
-    Status status = Status::OK();
-    std::unique_ptr<stream::AggregatorHandle> handle;  // stream or snapshot
-    std::string session_bytes;                         // session snapshot
-    stream::ShardIngester::Stats stats;
-    bool is_session = false;
-  };
+  // Phase 1, concurrent: every input loads independently (LoadInput).
   const size_t n = paths.size();
-  std::vector<Loaded> loaded(n);
-  std::vector<stream::HandleShardSource> sources(n);
+  std::vector<LoadedInput> loaded(n);
   const stream::AggregatorHandle& prototype = *epochs_.back();
-  for (size_t i = 0; i < n; ++i) {
-    std::ifstream in(paths[i], std::ios::binary);
-    if (!in.is_open()) {
-      loaded[i].status = Status::IoError("cannot open input file");
-      continue;
-    }
-    char magic_bytes[4] = {0, 0, 0, 0};
-    in.read(magic_bytes, 4);
-    if (in.gcount() != 4) {
-      loaded[i].status = Status::InvalidArgument("input shorter than a magic");
-      continue;
-    }
-    const uint32_t magic =
-        internal_wire::LoadLittleEndian<uint32_t>(magic_bytes);
-    if (magic == stream::kStreamMagic) {
-      sources[i] = stream::HandleStreamFileSource(prototype, paths[i],
-                                                  options_.ingest);
-    } else if (magic == stream::kSnapshotMagic ||
-               magic == stream::kNumericSnapshotMagic) {
-      sources[i] = stream::HandleSnapshotFileSource(prototype, paths[i]);
-    } else if (magic == kSessionSnapshotMagic) {
-      loaded[i].is_session = true;
-    } else {
-      loaded[i].status = Status::InvalidArgument(
-          "input is neither a report stream nor a snapshot");
+  ParallelFor(pool_.get(), n,
+              [&](unsigned /*chunk*/, uint64_t begin, uint64_t end) {
+                for (uint64_t i = begin; i < end; ++i) {
+                  loaded[i].status = LoadInput(paths[i], prototype,
+                                               options_.ingest, &loaded[i]);
+                }
+              });
+
+  if (totals != nullptr) {
+    *totals = stream::ShardIngester::Stats();
+    for (const LoadedInput& input : loaded) {
+      totals->bytes += input.stats.bytes;
+      totals->frames += input.stats.frames;
+      totals->accepted += input.stats.accepted;
+      totals->rejected += input.stats.rejected;
     }
   }
-  ParallelFor(pool, n, [&](unsigned /*chunk*/, uint64_t begin, uint64_t end) {
-    for (uint64_t i = begin; i < end; ++i) {
-      Loaded& input = loaded[i];
-      if (!input.status.ok()) continue;
-      if (input.is_session) {
-        std::ifstream in(paths[i], std::ios::binary);
-        std::ostringstream contents;
-        contents << in.rdbuf();
-        if (!in.is_open() || in.bad()) {
-          input.status = Status::IoError("read error on input file");
-          continue;
-        }
-        input.session_bytes = contents.str();
-        input.stats.bytes = input.session_bytes.size();
-        input.stats.accepted =
-            SessionSnapshotReportCount(input.session_bytes);
-        continue;
-      }
-      Result<std::unique_ptr<stream::AggregatorHandle>> handle =
-          sources[i].load(&input.stats);
-      if (handle.ok()) {
-        input.handle = std::move(handle).value();
-      } else {
-        input.status = handle.status();
-      }
-    }
-  });
-
-  stream::MultiShardSummary local_summary;
-  for (size_t i = 0; i < n; ++i) {
-    stream::ShardIngestOutcome outcome;
-    outcome.source = paths[i];
-    outcome.status = loaded[i].status;
-    outcome.stats = loaded[i].stats;
-    local_summary.total_reports += outcome.stats.accepted;
-    local_summary.total_rejected += outcome.stats.rejected;
-    local_summary.total_bytes += outcome.stats.bytes;
-    local_summary.shards.push_back(std::move(outcome));
-  }
-  if (summary != nullptr) *summary = local_summary;
-
   for (size_t i = 0; i < n; ++i) {
     if (!loaded[i].status.ok()) {
       return Status(loaded[i].status.code(),
@@ -633,12 +624,9 @@ Status ServerSession::IngestInputs(const std::vector<std::string>& paths,
   // epoch that was current at the call; session snapshots align by epoch.
   stream::AggregatorHandle* target = epochs_.back().get();
   for (size_t i = 0; i < n; ++i) {
-    Status merged = Status::OK();
-    if (loaded[i].handle != nullptr) {
-      merged = target->Merge(*loaded[i].handle);
-    } else {
-      merged = MergeLocked(loaded[i].session_bytes);
-    }
+    const Status merged = loaded[i].handle != nullptr
+                              ? target->Merge(*loaded[i].handle)
+                              : MergeLocked(loaded[i].session_bytes);
     if (!merged.ok()) {
       return Status(merged.code(),
                     "input '" + paths[i] + "': " + merged.message());
@@ -707,47 +695,44 @@ Status ServerSession::MergeLocked(const std::string& snapshot_bytes) {
         handle->MergeEncodedSnapshot(std::string(inner, inner_size)));
     staged.push_back(std::move(handle));
   }
-  // Stage the per-reporter ledger section (v2) before anything commits, so
-  // a truncated snapshot mutates nothing.
+  // Stage the per-reporter ledger section before anything commits, so a
+  // truncated snapshot mutates nothing.
   struct StagedLedger {
     std::string reporter;
     uint64_t refusals = 0;
     std::vector<std::pair<uint32_t, double>> entries;
   };
+  uint32_t num_reporters = 0;
+  LDP_ASSIGN_OR_RETURN(num_reporters, reader.U32());
   std::vector<StagedLedger> staged_ledgers;
-  if (peer.version >= kSessionSnapshotVersion) {
-    uint32_t num_reporters = 0;
-    LDP_ASSIGN_OR_RETURN(num_reporters, reader.U32());
-    staged_ledgers.reserve(
-        std::min<size_t>(num_reporters, 1u << 16));
-    for (uint32_t r = 0; r < num_reporters; ++r) {
-      StagedLedger ledger;
-      uint16_t id_length = 0;
-      LDP_ASSIGN_OR_RETURN(id_length, reader.U16());
-      const char* id = reader.TakeBytes(id_length);
-      if (id == nullptr) {
-        return Status::InvalidArgument(
-            "truncated reporter ledger in session snapshot");
-      }
-      ledger.reporter.assign(id, id_length);
-      LDP_ASSIGN_OR_RETURN(ledger.refusals, reader.U64());
-      uint32_t num_entries = 0;
-      LDP_ASSIGN_OR_RETURN(num_entries, reader.U32());
-      // 12 bytes per entry bounds a hostile count against the payload.
-      if (num_entries > (snapshot_bytes.size() / 12) + 1) {
-        return Status::InvalidArgument(
-            "reporter ledger entry count exceeds snapshot size");
-      }
-      ledger.entries.reserve(num_entries);
-      for (uint32_t i = 0; i < num_entries; ++i) {
-        uint32_t epoch = 0;
-        double spent = 0.0;
-        LDP_ASSIGN_OR_RETURN(epoch, reader.U32());
-        LDP_ASSIGN_OR_RETURN(spent, reader.F64());
-        ledger.entries.emplace_back(epoch, spent);
-      }
-      staged_ledgers.push_back(std::move(ledger));
+  staged_ledgers.reserve(std::min<size_t>(num_reporters, 1u << 16));
+  for (uint32_t r = 0; r < num_reporters; ++r) {
+    StagedLedger ledger;
+    uint16_t id_length = 0;
+    LDP_ASSIGN_OR_RETURN(id_length, reader.U16());
+    const char* id = reader.TakeBytes(id_length);
+    if (id == nullptr) {
+      return Status::InvalidArgument(
+          "truncated reporter ledger in session snapshot");
     }
+    ledger.reporter.assign(id, id_length);
+    LDP_ASSIGN_OR_RETURN(ledger.refusals, reader.U64());
+    uint32_t num_entries = 0;
+    LDP_ASSIGN_OR_RETURN(num_entries, reader.U32());
+    // 12 bytes per entry bounds a hostile count against the payload.
+    if (num_entries > (snapshot_bytes.size() / 12) + 1) {
+      return Status::InvalidArgument(
+          "reporter ledger entry count exceeds snapshot size");
+    }
+    ledger.entries.reserve(num_entries);
+    for (uint32_t i = 0; i < num_entries; ++i) {
+      uint32_t epoch = 0;
+      double spent = 0.0;
+      LDP_ASSIGN_OR_RETURN(epoch, reader.U32());
+      LDP_ASSIGN_OR_RETURN(spent, reader.F64());
+      ledger.entries.emplace_back(epoch, spent);
+    }
+    staged_ledgers.push_back(std::move(ledger));
   }
   if (!reader.AtEnd()) {
     return Status::InvalidArgument("trailing bytes after session snapshot");

@@ -58,7 +58,6 @@
 #include "core/accountant.h"
 #include "obs/metrics.h"
 #include "stream/aggregator_handle.h"
-#include "stream/parallel_ingest.h"
 #include "stream/shard_ingester.h"
 #include "util/result.h"
 #include "util/threadpool.h"
@@ -75,16 +74,13 @@ namespace ldp::api {
 ///   u64 schema_hash, f64 epsilon, u32 num_epochs, then per epoch:
 ///     u64 size, size bytes of that epoch's aggregator snapshot
 ///     (stream/snapshot.h 'LDPA' or 'LDPN').
-/// Version 2 appends the per-reporter privacy ledger section after the
-/// epochs:
+/// then the per-reporter privacy ledger section:
 ///   u32 num_reporters, then per reporter in ascending id order:
 ///     u16 id_length, id bytes, u64 refusals, u32 num_epoch_entries,
 ///     then per entry: u32 epoch, f64 epsilon spent.
-/// Version 1 snapshots (no ledger section) still merge; their charges are
-/// attributed to nobody beyond the anonymous plan ledger.
+/// Only version 2 is read; version 1 (no ledger section) is refused.
 inline constexpr uint32_t kSessionSnapshotMagic = 0x4550444cu;
 inline constexpr uint16_t kSessionSnapshotVersion = 2;
-inline constexpr uint16_t kSessionSnapshotLegacyVersion = 1;
 
 /// True when `bytes` starts with the session snapshot magic.
 bool LooksLikeSessionSnapshot(const std::string& bytes);
@@ -93,7 +89,6 @@ bool LooksLikeSessionSnapshot(const std::string& bytes);
 /// is enough to rebuild the pipeline configuration (tools/ldp_aggregate
 /// does).
 struct SessionSnapshotConfig {
-  uint16_t version = kSessionSnapshotVersion;
   stream::ReportStreamKind kind = stream::ReportStreamKind::kMixed;
   MechanismKind mechanism = MechanismKind::kHybrid;
   FrequencyOracleKind oracle = FrequencyOracleKind::kOue;
@@ -217,14 +212,19 @@ class ServerSession {
   /// Convenience one-shot shard: ingests `in` to completion and folds it in.
   Status IngestStream(std::istream& in);
 
-  /// Ingests a set of shard inputs concurrently on `pool` (falling back to
-  /// the session's own ingest pool, then to inline, when null) and merges
-  /// them IN ARGUMENT ORDER — report streams and single-epoch snapshots
-  /// into the current epoch, session snapshots epoch-aligned. Fails on the
-  /// first input (in order) that errors; `summary`, when non-null, is
-  /// filled either way.
-  Status IngestInputs(const std::vector<std::string>& paths, ThreadPool* pool,
-                      stream::MultiShardSummary* summary = nullptr);
+  /// Ingests a set of input files — report streams, single-epoch aggregator
+  /// snapshots and session snapshots, told apart by their magic — in two
+  /// phases. First every input loads, concurrently on the session's ingest
+  /// pool (inline when ingest_threads <= 1). Loading is all-or-nothing: if
+  /// any input fails to open, sniff or decode, nothing merges and the error
+  /// names the first failing input's path (in argument order). Then the
+  /// inputs merge IN ARGUMENT ORDER — report streams and single-epoch
+  /// snapshots into the epoch current at the call, session snapshots
+  /// epoch-aligned — so the result is independent of the thread count.
+  /// `totals`, when non-null, receives the stats summed over every input
+  /// (a session snapshot counts its bytes and reports), filled either way.
+  Status IngestInputs(const std::vector<std::string>& paths,
+                      stream::ShardIngester::Stats* totals = nullptr);
 
   // --- merging -----------------------------------------------------------
 

@@ -64,7 +64,6 @@
 #include "obs/metrics.h"
 #include "obs/metrics_server.h"
 #include "stream/aggregator_handle.h"
-#include "stream/parallel_ingest.h"
 #include "stream/report_stream.h"
 #include "stream/shard_ingester.h"
 #include "stream/snapshot.h"

@@ -1,7 +1,7 @@
 // AggregatorHandle: the polymorphic server-side aggregation surface that
-// lets one stream stack (ShardIngester, the parallel driver, the Pipeline
-// sessions) serve every report-stream kind the wire header can carry. A
-// handle owns one shard-or-epoch's worth of accumulated state and knows how
+// lets one stream stack (ShardIngester and the Pipeline sessions) serve
+// every report-stream kind the wire header can carry. A handle owns one
+// shard-or-epoch's worth of accumulated state and knows how
 // to validate a stream header against its protocol, decode-and-fold one
 // frame payload (zero-copy, via the kind's streaming frame decoder), merge a
 // compatible handle or encoded snapshot, and answer estimate queries.
@@ -58,7 +58,7 @@ class AggregatorHandle {
   virtual Status Merge(const AggregatorHandle& other) = 0;
 
   /// A fresh, empty handle sharing this handle's protocol objects — the
-  /// factory the multi-shard drivers use to give every shard its own
+  /// factory ServerSession uses to give every shard and input its own
   /// accumulator.
   virtual std::unique_ptr<AggregatorHandle> CloneEmpty() const = 0;
 

@@ -17,7 +17,6 @@
 #include "core/numeric_aggregator.h"
 #include "core/wire.h"
 #include "data/dataset.h"
-#include "stream/aggregator_handle.h"
 #include "stream/report_stream.h"
 #include "stream/shard_ingester.h"
 #include "stream/snapshot.h"
@@ -382,22 +381,31 @@ TEST(NumericStreamTest, HandleDriverIngestsNumericShardsInParallel) {
   for (const IndexRange& range : SplitRange(kRows, kPoolThreads * 4)) {
     shards.push_back(WriteNumericShard(dataset, client.value(), range));
   }
-  const stream::NumericAggregatorHandle prototype(
-      pipeline.value().numeric_mechanism(), MechanismKind::kHybrid);
-  std::vector<stream::HandleShardSource> sources;
+  // Every shard open at once on a 3-worker session so they decode side by
+  // side, then closed (merged) in shard order.
+  api::ServerSessionOptions options;
+  options.ingest_threads = 3;
+  auto server = pipeline.value().NewServer(options);
+  ASSERT_TRUE(server.ok());
+  api::ServerSession& session = server.value();
+  std::vector<size_t> ids;
+  for (size_t s = 0; s < shards.size(); ++s) ids.push_back(session.OpenShard());
   for (size_t s = 0; s < shards.size(); ++s) {
-    sources.push_back(stream::HandleStreamBufferSource(
-        prototype, "shard " + std::to_string(s), &shards[s],
-        stream::ShardIngester::Options()));
+    ASSERT_TRUE(session.Feed(ids[s], shards[s]).ok());
   }
-  ThreadPool pool(3);
-  stream::MultiShardSummary summary;
-  auto total =
-      stream::IngestHandleSources(prototype, sources, &pool, &summary);
-  ASSERT_TRUE(total.ok());
-  EXPECT_EQ(total.value()->num_reports(), kRows);
-  EXPECT_EQ(summary.total_reports, kRows);
-  EXPECT_EQ(summary.total_rejected, 0u);
+  uint64_t accepted = 0, rejected = 0;
+  for (const size_t id : ids) {
+    ASSERT_TRUE(session.CloseShard(id).ok());
+    auto stats = session.ShardStats(id);
+    ASSERT_TRUE(stats.ok());
+    accepted += stats.value().accepted;
+    rejected += stats.value().rejected;
+  }
+  auto reports = session.num_reports(0);
+  ASSERT_TRUE(reports.ok());
+  EXPECT_EQ(reports.value(), kRows);
+  EXPECT_EQ(accepted, kRows);
+  EXPECT_EQ(rejected, 0u);
 
   ThreadPool collect_pool(kPoolThreads);
   auto expected = CollectProposed(dataset, kEpsilon, kSeed,
@@ -407,7 +415,7 @@ TEST(NumericStreamTest, HandleDriverIngestsNumericShardsInParallel) {
   ASSERT_TRUE(expected.ok());
   for (size_t j = 0; j < expected.value().numeric_columns.size(); ++j) {
     auto mean =
-        total.value()->EstimateMean(expected.value().numeric_columns[j]);
+        session.EstimateMean(expected.value().numeric_columns[j], 0);
     ASSERT_TRUE(mean.ok());
     EXPECT_EQ(mean.value(), expected.value().estimated_means[j]);
   }

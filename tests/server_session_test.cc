@@ -1,10 +1,14 @@
 // Multi-epoch ServerSession behavior: per-epoch aggregates that reproduce
 // the in-process pipeline bit for bit across >= 2 shards, privacy accounting
-// that sums ε across epochs and refuses over-plan collection, and session
-// snapshots that round-trip and merge epoch-aligned.
+// that sums ε across epochs and refuses over-plan collection, session
+// snapshots that round-trip and merge epoch-aligned, and IngestInputs (what
+// ldp_aggregate calls) matching Feed/CloseShard/Merge bit for bit.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstdio>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -13,6 +17,8 @@
 #include "data/census.h"
 #include "data/encode.h"
 #include "stream/report_stream.h"
+#include "stream/shard_ingester.h"
+#include "stream/snapshot.h"
 #include "util/threadpool.h"
 
 namespace ldp {
@@ -328,7 +334,7 @@ TEST(ServerSessionTest, MergedEdgesChargeAReporterOncePerEpoch) {
   EXPECT_EQ(reports.value(), kRows);
 }
 
-TEST(ServerSessionTest, LegacyV1SnapshotStillMerges) {
+TEST(ServerSessionTest, LegacyV1SnapshotIsRefused) {
   const data::Dataset dataset = MakeData();
   const api::Pipeline pipeline = MakePipeline(dataset, 1);
   auto client = pipeline.NewClient();
@@ -347,22 +353,132 @@ TEST(ServerSessionTest, LegacyV1SnapshotStillMerges) {
   constexpr size_t kAnonymousLedgerBytes = 4 + 2 + 8 + 4 + (4 + 8);
   ASSERT_GT(v1.size(), kAnonymousLedgerBytes);
   v1.resize(v1.size() - kAnonymousLedgerBytes);
-  v1[4] = static_cast<char>(api::kSessionSnapshotLegacyVersion);
+  v1[4] = 1;
   v1[5] = 0;
 
+  // Only version 2 is read: the v1 bytes are refused and merge nothing.
   auto receiver = pipeline.NewServer();
   ASSERT_TRUE(receiver.ok());
-  ASSERT_TRUE(receiver.value().Merge(v1).ok());
-  auto merged = receiver.value().num_reports(0);
-  auto expected = donor.value().num_reports(0);
-  ASSERT_TRUE(merged.ok() && expected.ok());
-  EXPECT_EQ(merged.value(), expected.value());
-  // Only the anonymous plan ledger exists: v1 edges never carried ids.
-  EXPECT_EQ(receiver.value().accountant().num_charged_reporters(), 1u);
-  auto estimates = receiver.value().Estimate(0);
-  auto reference = donor.value().Estimate(0);
-  ASSERT_TRUE(estimates.ok() && reference.ok());
-  EXPECT_EQ(estimates.value().means, reference.value().means);
+  FeedEpoch(&receiver.value(),
+            WriteEpochShards(dataset, client.value(), kEpochSeeds[1], 1));
+  auto before = receiver.value().num_reports(0);
+  ASSERT_TRUE(before.ok());
+  EXPECT_EQ(receiver.value().Merge(v1).code(), StatusCode::kInvalidArgument);
+  auto after = receiver.value().num_reports(0);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after.value(), before.value());
+  EXPECT_EQ(after.value(), kRows);
+}
+
+// A per-test temp path, unique across concurrently running test processes.
+std::string TempInputPath(const std::string& suffix) {
+  return ::testing::TempDir() + "/ldp_server_session_test_" +
+         std::to_string(::getpid()) + "_" +
+         ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+         "_" + suffix;
+}
+
+void WriteFile(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  ASSERT_TRUE(out.is_open()) << path;
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  ASSERT_TRUE(out.good()) << path;
+}
+
+TEST(ServerSessionTest, IngestInputsMatchesFeedAndMergeAtEveryThreadCount) {
+  const data::Dataset dataset = MakeData();
+  const api::Pipeline pipeline = MakePipeline(dataset, 2);
+  auto client = pipeline.NewClient();
+  ASSERT_TRUE(client.ok());
+
+  // Three input kinds: report streams, a single-epoch aggregator snapshot,
+  // and a two-epoch session snapshot (last, so that the streams before it
+  // land in epoch 0 on both paths).
+  const std::vector<std::string> streams =
+      WriteEpochShards(dataset, client.value(), kEpochSeeds[0], 4);
+  stream::ShardIngester ingester(&pipeline.mixed_collector());
+  ASSERT_TRUE(
+      ingester
+          .Feed(WriteEpochShards(dataset, client.value(), kEpochSeeds[1], 1)
+                    .front())
+          .ok());
+  ASSERT_TRUE(ingester.Finish().ok());
+  const std::string aggregator_snapshot =
+      stream::EncodeAggregatorSnapshot(ingester.aggregator());
+  auto donor = pipeline.NewServer();
+  ASSERT_TRUE(donor.ok());
+  FeedEpoch(&donor.value(),
+            WriteEpochShards(dataset, client.value(), kEpochSeeds[1], 2));
+  ASSERT_TRUE(donor.value().AdvanceEpoch().ok());
+  FeedEpoch(&donor.value(),
+            WriteEpochShards(dataset, client.value(), kEpochSeeds[0], 3));
+  const std::string session_snapshot = donor.value().Snapshot();
+
+  const std::vector<std::string> bytes = {
+      streams[0], streams[1], aggregator_snapshot, streams[2], streams[3],
+      session_snapshot};
+  std::vector<std::string> paths;
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    paths.push_back(TempInputPath("input" + std::to_string(i)));
+    WriteFile(paths.back(), bytes[i]);
+  }
+
+  // Reference: the same inputs in the same order through Feed/CloseShard
+  // and Merge.
+  auto reference = pipeline.NewServer();
+  ASSERT_TRUE(reference.ok());
+  FeedEpoch(&reference.value(), {streams[0], streams[1]});
+  ASSERT_TRUE(reference.value().Merge(aggregator_snapshot).ok());
+  FeedEpoch(&reference.value(), {streams[2], streams[3]});
+  ASSERT_TRUE(reference.value().Merge(session_snapshot).ok());
+  ASSERT_EQ(reference.value().num_epochs(), 2u);
+  uint64_t reference_reports = 0;
+  for (uint32_t epoch = 0; epoch < 2; ++epoch) {
+    reference_reports += reference.value().num_reports(epoch).value();
+  }
+
+  for (const unsigned threads : {0u, 3u, 16u}) {
+    SCOPED_TRACE(threads);
+    api::ServerSessionOptions options;
+    options.ingest_threads = threads;
+    auto server = pipeline.NewServer(options);
+    ASSERT_TRUE(server.ok());
+    stream::ShardIngester::Stats totals;
+    ASSERT_TRUE(server.value().IngestInputs(paths, &totals).ok());
+    EXPECT_EQ(totals.accepted, reference_reports);
+    EXPECT_EQ(totals.rejected, 0u);
+    EXPECT_EQ(server.value().Snapshot(), reference.value().Snapshot());
+    for (uint32_t epoch = 0; epoch < 2; ++epoch) {
+      auto expected = reference.value().Estimate(epoch);
+      auto ingested = server.value().Estimate(epoch);
+      ASSERT_TRUE(expected.ok() && ingested.ok());
+      EXPECT_EQ(ingested.value().num_reports, expected.value().num_reports);
+      EXPECT_EQ(ingested.value().means, expected.value().means);
+      EXPECT_EQ(ingested.value().frequencies, expected.value().frequencies);
+    }
+  }
+
+  // An input that is neither a stream nor a snapshot fails the whole call
+  // before anything merges, and the error names its path.
+  const std::string junk = TempInputPath("junk");
+  WriteFile(junk, "JUNK, not an LDP artifact");
+  for (const unsigned threads : {0u, 3u}) {
+    api::ServerSessionOptions options;
+    options.ingest_threads = threads;
+    auto server = pipeline.NewServer(options);
+    ASSERT_TRUE(server.ok());
+    const std::string untouched = server.value().Snapshot();
+    const Status status =
+        server.value().IngestInputs({paths[0], junk, paths[5]});
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find(junk), std::string::npos)
+        << status.message();
+    EXPECT_EQ(server.value().Snapshot(), untouched);
+    EXPECT_EQ(server.value().num_epochs(), 1u);
+  }
+
+  for (const std::string& path : paths) std::remove(path.c_str());
+  std::remove(junk.c_str());
 }
 
 TEST(ServerSessionTest, EstimateChecksEpochBounds) {

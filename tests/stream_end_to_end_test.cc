@@ -1,20 +1,23 @@
 // End-to-end equivalence of the deployment split: privatizing users into
-// framed shard streams (the ldp_report path), ingesting the shards
-// concurrently and reducing them in order (the ldp_aggregate path) must
+// framed shard streams (the ldp_report path), then feeding the shards into
+// one api::ServerSession that decodes them concurrently and merges them in
+// shard order (the engine under ldp_aggregate and every transport), must
 // reproduce the in-process Pipeline::Collect simulation BIT FOR BIT — same
 // seeds, same chunk boundaries, same estimates, regardless of how many
-// threads either side uses.
+// threads either side uses. ServerSession::IngestInputs, the file-input
+// entry point ldp_aggregate calls, is pinned against this Feed/CloseShard path
+// in server_session_test.cc.
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "api/pipeline.h"
+#include "api/server_session.h"
 #include "data/census.h"
 #include "data/encode.h"
-#include "stream/parallel_ingest.h"
 #include "stream/report_stream.h"
 #include "stream/shard_ingester.h"
 #include "stream/snapshot.h"
@@ -33,31 +36,29 @@ data::Dataset MakeData() {
   return data::NormalizeNumeric(dataset.value());
 }
 
-// The in-process golden run every deployment shape must reproduce, through
-// the session facade (the retired CollectProposed wrapper inlined).
-Result<api::CollectionOutput> CollectProposed(const data::Dataset& dataset,
-                                              double epsilon, uint64_t seed,
-                                              MechanismKind numeric_kind,
-                                              FrequencyOracleKind oracle_kind,
-                                              ThreadPool* pool) {
+// The paper's configuration (HM numeric mechanism, OUE oracle) over the
+// dataset's schema: the in-process golden run and every server session
+// below share it.
+api::Pipeline MakePipeline(const data::Dataset& dataset) {
   api::PipelineConfig config;
-  config.epsilon = epsilon;
-  config.mechanism = numeric_kind;
-  config.oracle = oracle_kind;
-  LDP_ASSIGN_OR_RETURN(config.attributes,
-                       api::AttributesFromSchema(dataset.schema()));
-  Result<api::Pipeline> pipeline = api::Pipeline::Create(std::move(config));
-  if (!pipeline.ok()) return pipeline.status();
-  return pipeline.value().Collect(dataset, seed, pool);
+  config.epsilon = kEpsilon;
+  config.mechanism = MechanismKind::kHybrid;
+  config.oracle = FrequencyOracleKind::kOue;
+  auto attributes = api::AttributesFromSchema(dataset.schema());
+  EXPECT_TRUE(attributes.ok());
+  config.attributes = std::move(attributes).value();
+  auto pipeline = api::Pipeline::Create(std::move(config));
+  EXPECT_TRUE(pipeline.ok());
+  return std::move(pipeline).value();
 }
 
-MixedTupleCollector MakeCollector(const data::Dataset& dataset) {
-  auto schema = api::AttributesFromSchema(dataset.schema());
-  EXPECT_TRUE(schema.ok());
-  auto collector =
-      MixedTupleCollector::Create(std::move(schema).value(), kEpsilon);
-  EXPECT_TRUE(collector.ok());
-  return std::move(collector).value();
+// The in-process golden run every deployment shape must reproduce.
+api::CollectionOutput CollectProposed(const api::Pipeline& pipeline,
+                                      const data::Dataset& dataset,
+                                      ThreadPool* pool) {
+  auto output = pipeline.Collect(dataset, kSeed, pool);
+  EXPECT_TRUE(output.ok());
+  return std::move(output).value();
 }
 
 // The client half: privatizes rows [range.begin, range.end) into one framed
@@ -100,15 +101,39 @@ std::vector<std::string> WriteShards(const data::Dataset& dataset,
   return shards;
 }
 
-void ExpectBitIdentical(const MixedAggregator& total,
+// The server half: every shard opened on `session` up front (so a
+// concurrent session decodes them side by side), fed whole, then closed in
+// shard order. Returns the shards' summed stats.
+stream::ShardIngester::Stats FeedShards(
+    api::ServerSession* session, const std::vector<std::string>& shards) {
+  std::vector<size_t> ids;
+  for (size_t s = 0; s < shards.size(); ++s) {
+    ids.push_back(session->OpenShard());
+  }
+  for (size_t s = 0; s < shards.size(); ++s) {
+    EXPECT_TRUE(session->Feed(ids[s], shards[s]).ok());
+  }
+  stream::ShardIngester::Stats totals;
+  for (const size_t id : ids) {
+    EXPECT_TRUE(session->CloseShard(id).ok());
+    auto stats = session->ShardStats(id);
+    EXPECT_TRUE(stats.ok());
+    totals.accepted += stats.value().accepted;
+    totals.rejected += stats.value().rejected;
+  }
+  return totals;
+}
+
+void ExpectBitIdentical(const api::ServerSession& session,
                         const api::CollectionOutput& expected) {
   for (size_t j = 0; j < expected.numeric_columns.size(); ++j) {
-    auto mean = total.EstimateMean(expected.numeric_columns[j]);
+    auto mean = session.EstimateMean(expected.numeric_columns[j], 0);
     ASSERT_TRUE(mean.ok());
     EXPECT_EQ(mean.value(), expected.estimated_means[j]) << "attribute " << j;
   }
   for (size_t c = 0; c < expected.categorical_columns.size(); ++c) {
-    auto freqs = total.EstimateFrequencies(expected.categorical_columns[c]);
+    auto freqs =
+        session.EstimateFrequencies(expected.categorical_columns[c], 0);
     ASSERT_TRUE(freqs.ok());
     ASSERT_EQ(freqs.value().size(), expected.estimated_frequencies[c].size());
     for (size_t v = 0; v < freqs.value().size(); ++v) {
@@ -120,100 +145,95 @@ void ExpectBitIdentical(const MixedAggregator& total,
 
 TEST(StreamEndToEndTest, ShardedIngestReproducesCollectProposedBitForBit) {
   const data::Dataset dataset = MakeData();
-  const MixedTupleCollector collector = MakeCollector(dataset);
+  const api::Pipeline pipeline = MakePipeline(dataset);
 
   constexpr unsigned kPoolThreads = 2;
   ThreadPool pool(kPoolThreads);
-  auto expected = CollectProposed(dataset, kEpsilon, kSeed,
-                                             MechanismKind::kHybrid,
-                                             FrequencyOracleKind::kOue, &pool);
-  ASSERT_TRUE(expected.ok());
+  const api::CollectionOutput expected =
+      CollectProposed(pipeline, dataset, &pool);
 
   const std::vector<std::string> shards =
-      WriteShards(dataset, collector, kPoolThreads);
+      WriteShards(dataset, pipeline.mixed_collector(), kPoolThreads);
   ASSERT_GE(shards.size(), 2u);
 
-  // Server reduces the shards with various thread counts — including more
-  // ingest workers than shards — and always lands on the same bits.
+  // The server ingests the shards with various thread counts — including
+  // more ingest workers than shards — and always lands on the same bits.
   for (const unsigned server_threads : {0u, 3u, 16u}) {
-    std::unique_ptr<ThreadPool> server_pool;
-    if (server_threads > 0) {
-      server_pool = std::make_unique<ThreadPool>(server_threads);
-    }
-    stream::MultiShardSummary summary;
-    auto total = stream::IngestShardBuffers(collector, shards,
-                                            server_pool.get(),
-                                            stream::ShardIngester::Options(),
-                                            &summary);
-    ASSERT_TRUE(total.ok());
-    EXPECT_EQ(total.value().num_reports(), kRows);
-    EXPECT_EQ(summary.total_reports, kRows);
-    EXPECT_EQ(summary.total_rejected, 0u);
-    ExpectBitIdentical(total.value(), expected.value());
+    api::ServerSessionOptions options;
+    options.ingest_threads = server_threads;
+    auto server = pipeline.NewServer(options);
+    ASSERT_TRUE(server.ok());
+    const stream::ShardIngester::Stats totals =
+        FeedShards(&server.value(), shards);
+    auto reports = server.value().num_reports(0);
+    ASSERT_TRUE(reports.ok());
+    EXPECT_EQ(reports.value(), kRows);
+    EXPECT_EQ(totals.accepted, kRows);
+    EXPECT_EQ(totals.rejected, 0u);
+    ExpectBitIdentical(server.value(), expected);
   }
 }
 
 TEST(StreamEndToEndTest, SnapshotReductionReproducesCollectProposed) {
   const data::Dataset dataset = MakeData();
-  const MixedTupleCollector collector = MakeCollector(dataset);
+  const api::Pipeline pipeline = MakePipeline(dataset);
+  const MixedTupleCollector& collector = pipeline.mixed_collector();
 
   constexpr unsigned kPoolThreads = 2;
   ThreadPool pool(kPoolThreads);
-  auto expected = CollectProposed(dataset, kEpsilon, kSeed,
-                                             MechanismKind::kHybrid,
-                                             FrequencyOracleKind::kOue, &pool);
-  ASSERT_TRUE(expected.ok());
+  const api::CollectionOutput expected =
+      CollectProposed(pipeline, dataset, &pool);
 
-  // Each shard is ingested on its own "machine", snapshotted to bytes,
-  // decoded on the reducer, and merged in shard order.
-  MixedAggregator total(&collector);
+  // Each shard is ingested on its own "machine", snapshotted to bytes, and
+  // merged into the reducer's session in shard order.
+  auto reducer = pipeline.NewServer();
+  ASSERT_TRUE(reducer.ok());
   for (const std::string& shard :
        WriteShards(dataset, collector, kPoolThreads)) {
     stream::ShardIngester ingester(&collector);
     ASSERT_TRUE(ingester.Feed(shard).ok());
     ASSERT_TRUE(ingester.Finish().ok());
-    const std::string snapshot =
-        stream::EncodeAggregatorSnapshot(ingester.aggregator());
-    auto decoded = stream::DecodeAggregatorSnapshot(snapshot, &collector);
-    ASSERT_TRUE(decoded.ok());
-    ASSERT_TRUE(total.Merge(decoded.value()).ok());
+    ASSERT_TRUE(reducer.value()
+                    .Merge(stream::EncodeAggregatorSnapshot(
+                        ingester.aggregator()))
+                    .ok());
   }
-  EXPECT_EQ(total.num_reports(), kRows);
-  ExpectBitIdentical(total, expected.value());
+  auto reports = reducer.value().num_reports(0);
+  ASSERT_TRUE(reports.ok());
+  EXPECT_EQ(reports.value(), kRows);
+  ExpectBitIdentical(reducer.value(), expected);
 }
 
 TEST(StreamEndToEndTest, CollectProposedIsDeterministicPerThreadCount) {
   const data::Dataset dataset = MakeData();
+  const api::Pipeline pipeline = MakePipeline(dataset);
   ThreadPool pool_a(3), pool_b(3);
-  auto run_a = CollectProposed(dataset, kEpsilon, kSeed,
-                                          MechanismKind::kHybrid,
-                                          FrequencyOracleKind::kOue, &pool_a);
-  auto run_b = CollectProposed(dataset, kEpsilon, kSeed,
-                                          MechanismKind::kHybrid,
-                                          FrequencyOracleKind::kOue, &pool_b);
-  ASSERT_TRUE(run_a.ok());
-  ASSERT_TRUE(run_b.ok());
-  EXPECT_EQ(run_a.value().estimated_means, run_b.value().estimated_means);
-  EXPECT_EQ(run_a.value().estimated_frequencies,
-            run_b.value().estimated_frequencies);
+  const api::CollectionOutput run_a =
+      CollectProposed(pipeline, dataset, &pool_a);
+  const api::CollectionOutput run_b =
+      CollectProposed(pipeline, dataset, &pool_b);
+  EXPECT_EQ(run_a.estimated_means, run_b.estimated_means);
+  EXPECT_EQ(run_a.estimated_frequencies, run_b.estimated_frequencies);
 }
 
 TEST(StreamEndToEndTest, CorruptShardDoesNotPoisonTheRun) {
   const data::Dataset dataset = MakeData();
-  const MixedTupleCollector collector = MakeCollector(dataset);
-  std::vector<std::string> shards = WriteShards(dataset, collector, 1);
+  const api::Pipeline pipeline = MakePipeline(dataset);
+  std::vector<std::string> shards =
+      WriteShards(dataset, pipeline.mixed_collector(), 1);
   ASSERT_FALSE(shards.empty());
   // Append a garbage frame: the ingest keeps going and reports it rejected.
   std::string garbage;
   ASSERT_TRUE(stream::AppendFrame("garbage payload", &garbage).ok());
   shards.back() += garbage;
-  stream::MultiShardSummary summary;
-  auto total = stream::IngestShardBuffers(collector, shards, nullptr,
-                                          stream::ShardIngester::Options(),
-                                          &summary);
-  ASSERT_TRUE(total.ok());
-  EXPECT_EQ(total.value().num_reports(), kRows);
-  EXPECT_EQ(summary.total_rejected, 1u);
+  auto server = pipeline.NewServer();
+  ASSERT_TRUE(server.ok());
+  const stream::ShardIngester::Stats totals =
+      FeedShards(&server.value(), shards);
+  auto reports = server.value().num_reports(0);
+  ASSERT_TRUE(reports.ok());
+  EXPECT_EQ(reports.value(), kRows);
+  EXPECT_EQ(totals.rejected, 1u);
 }
 
 }  // namespace

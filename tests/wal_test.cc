@@ -590,10 +590,11 @@ TEST(WalTest, ReplayRestoresTheReporterLedgerExactly) {
             pipeline.header().epsilon);
 }
 
-TEST(WalTest, LegacyV1LogReplaysAsTheAnonymousReporter) {
+TEST(WalTest, LegacyV1LogIsRefusedAsCorrupt) {
   // A log written before reporter ids existed: version 1 in the file
   // header, kHeader payload = bare stream-header bytes. Craft one byte by
-  // byte (framing documented in relay/frame_wal.h) and replay it.
+  // byte (framing documented in relay/frame_wal.h): only version 2 replays,
+  // so this one counts as corrupt and contributes nothing.
   const api::Pipeline pipeline = MakeCorpusPipeline(/*numeric=*/false);
   const std::string stream = MakeHonestStream(pipeline, 930);
   const std::string dir = TestWalDir("legacy_v1");
@@ -626,7 +627,7 @@ TEST(WalTest, LegacyV1LogReplaysAsTheAnonymousReporter) {
 
   std::string file;
   put32(&file, relay::kWalMagic);
-  put16(&file, relay::kWalLegacyVersion);
+  put16(&file, 1);  // version
   put32(&file, 0);  // epoch
   put64(&file, 0);  // ordinal
   append_record(&file, /*kHeader=*/1,
@@ -649,13 +650,11 @@ TEST(WalTest, LegacyV1LogReplaysAsTheAnonymousReporter) {
   ASSERT_TRUE(relay::ReplayWalDir(dir, &replayed.value(), nullptr, nullptr,
                                   &summary)
                   .ok());
-  EXPECT_EQ(summary.shards_replayed, 1u);
-  EXPECT_EQ(summary.shards_corrupt, 0u);
+  EXPECT_EQ(summary.shards_replayed, 0u);
+  EXPECT_EQ(summary.shards_corrupt, 1u);
   auto reports = replayed.value().num_reports(0);
   ASSERT_TRUE(reports.ok());
-  EXPECT_EQ(reports.value(), kCorpusReports);
-  // No identity in the log: only the anonymous plan ledger exists.
-  EXPECT_EQ(replayed.value().accountant().num_charged_reporters(), 1u);
+  EXPECT_EQ(reports.value(), 0u);
 }
 
 }  // namespace

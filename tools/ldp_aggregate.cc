@@ -49,11 +49,9 @@
 #include "obs/metrics.h"
 #include "relay/frame_wal.h"
 #include "tool_flags.h"
-#include "stream/parallel_ingest.h"
 #include "stream/report_stream.h"
 #include "stream/shard_ingester.h"
 #include "stream/snapshot.h"
-#include "util/threadpool.h"
 
 namespace {
 
@@ -257,8 +255,7 @@ int main(int argc, char** argv) {
   obs::MetricsRegistry registry;
   api::ServerSessionOptions session_options;
   session_options.ingest = ingest_options;
-  // The session owns the ingest pool: IngestInputs falls back to it, and
-  // any future Feed-based transport would decode on the same workers.
+  // The session owns the ingest pool: IngestInputs loads inputs on it.
   session_options.ingest_threads = threads;
   session_options.metrics = &registry;
   auto server = pipeline.value().NewServer(session_options);
@@ -273,19 +270,28 @@ int main(int argc, char** argv) {
   // to the session's current epoch, so pass it first when mixing it with
   // session snapshots that also advance epochs.
   const auto started = std::chrono::steady_clock::now();
-  stream::MultiShardSummary summary;
+  stream::ShardIngester::Stats totals;
   size_t batch_start = 0;
   auto ingest_batch = [&](size_t end) -> Status {
     if (batch_start == end) return Status::OK();
     const std::vector<std::string> batch(shard_paths.begin() + batch_start,
                                          shard_paths.begin() + end);
     batch_start = end;
-    stream::MultiShardSummary part;
-    LDP_RETURN_IF_ERROR(session.IngestInputs(batch, nullptr, &part));
-    summary.total_reports += part.total_reports;
-    summary.total_rejected += part.total_rejected;
-    summary.total_bytes += part.total_bytes;
+    stream::ShardIngester::Stats part;
+    LDP_RETURN_IF_ERROR(session.IngestInputs(batch, &part));
+    totals.accepted += part.accepted;
+    totals.rejected += part.rejected;
+    totals.bytes += part.bytes;
     return Status::OK();
+  };
+  // Reports held across every epoch: a WAL replay may advance epochs, so
+  // its report count is the difference of this before and after.
+  auto session_reports = [&session]() {
+    uint64_t total = 0;
+    for (uint32_t e = 0; e < session.num_epochs(); ++e) {
+      total += session.num_reports(e).value();
+    }
+    return total;
   };
   Status ingested = Status::OK();
   for (size_t i = 0; i < shard_paths.size() && ingested.ok(); ++i) {
@@ -293,9 +299,11 @@ int main(int argc, char** argv) {
     ingested = ingest_batch(i);
     if (!ingested.ok()) break;
     batch_start = i + 1;
+    const uint64_t reports_before = session_reports();
     relay::WalReplaySummary walsum;
     ingested = relay::ReplayWalDir(shard_paths[i], &session, nullptr, nullptr,
                                    &walsum);
+    totals.accepted += session_reports() - reports_before;
     if (walsum.shards_corrupt > 0) {
       std::fprintf(stderr, "%s: %llu corrupt shard(s) skipped\n",
                    shard_paths[i].c_str(),
@@ -306,7 +314,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(walsum.shards_replayed),
                 static_cast<unsigned long long>(walsum.frames_replayed),
                 static_cast<unsigned long long>(walsum.bytes_replayed));
-    summary.total_bytes += walsum.bytes_replayed;
+    totals.bytes += walsum.bytes_replayed;
   }
   if (ingested.ok()) ingested = ingest_batch(shard_paths.size());
   if (!ingested.ok()) {
@@ -322,12 +330,10 @@ int main(int argc, char** argv) {
   std::printf(
       "ingested %llu reports from %zu input(s) (%llu rejected, %llu bytes) "
       "in %.3fs — %.0f reports/s\n",
-      static_cast<unsigned long long>(summary.total_reports),
-      shard_paths.size(),
-      static_cast<unsigned long long>(summary.total_rejected),
-      static_cast<unsigned long long>(summary.total_bytes), elapsed,
-      elapsed > 0.0 ? static_cast<double>(summary.total_reports) / elapsed
-                    : 0.0);
+      static_cast<unsigned long long>(totals.accepted), shard_paths.size(),
+      static_cast<unsigned long long>(totals.rejected),
+      static_cast<unsigned long long>(totals.bytes), elapsed,
+      elapsed > 0.0 ? static_cast<double>(totals.accepted) / elapsed : 0.0);
   std::printf(
       "%s stream, eps = %g/epoch (mechanism %s, oracle %s; %u of %u "
       "attributes per user); %u epoch(s), eps spent %g\n\n",
