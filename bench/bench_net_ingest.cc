@@ -271,8 +271,8 @@ double RunNetworked(const api::Pipeline& pipeline,
   net::ReportServerOptions server_options;
   server_options.metrics = registry;
   server_options.acceptors = static_cast<unsigned>(shards.size());
-  // Strict ordinal barrier: the cross-path snapshot-equality check relies
-  // on merge order being independent of which reporter finishes first.
+  // The fleet size bounds the ordinals; merges are exact, so the cross-path
+  // snapshot-equality check holds whichever reporter finishes first.
   server_options.expected_shards = shards.size();
   server_options.wal = frame_wal.get();
   if (auth) server_options.campaign_key = kBenchCampaignKey;
@@ -342,7 +342,7 @@ double RunNetworked(const api::Pipeline& pipeline,
 // How the event-driven edge scales with the number of logical reporters:
 // R shards multiplexed as channels over kSweepConnections real
 // connections (ordinal s rides connection s % kSweepConnections), closes
-// pipelined so the strict merge barrier never idles a connection. Each
+// pipelined so a verdict round trip never idles a connection. Each
 // row records aggregate throughput and the p99 shard-admission latency
 // (HELLO -> HELLO_OK round trip as the reporter sees it, while the
 // connection's other channels keep streaming).

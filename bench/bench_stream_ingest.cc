@@ -7,11 +7,11 @@
 // kinds (GRR / SUE / OUE / OLH / HE — the payload encodings differ by
 // orders of magnitude in bytes/report) and the Algorithm-4 numeric stream
 // kind, × shard counts (1 shard = the single-core hot loop; more shards
-// exercise concurrent decode and the ordered reduction). Every row drives
+// exercise concurrent decode and the shard merges). Every row drives
 // api::ServerSession, the one ingest engine under ldp_aggregate and every
 // transport, and measures its full path (chunk feed → frame scan →
-// zero-copy wire decode → validation → aggregator accumulation → ordered
-// shard merge) over pre-encoded in-memory shards, so client-side
+// zero-copy wire decode → validation → aggregator accumulation → shard
+// merge) over pre-encoded in-memory shards, so client-side
 // perturbation cost is excluded.
 //
 //   LDP_BENCH_USERS   total reports across shards (default 1000000)

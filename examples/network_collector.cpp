@@ -4,8 +4,8 @@
 // privatized reports at it through ldp::net::CollectorClient, and the
 // determinism contract checked at the end: the networked session is
 // byte-identical to a session fed the same shards directly through
-// ServerSession::Feed, because shards merge in client ordinal order
-// regardless of which connection finishes first.
+// ServerSession::Feed, because merges are exact integer sums — the order
+// connections finish in never shows.
 //
 // Run: ./network_collector   (also registered as a ctest smoke test)
 
@@ -84,8 +84,9 @@ int main() {
                                       std::to_string(::getpid()) + ".sock"};
   net::ReportServerOptions options;
   options.acceptors = static_cast<unsigned>(kFleets);
-  // The fleet size makes ordinal-ordered merging a strict barrier: the
-  // byte-equality check below holds no matter how the threads race.
+  // The fleet size bounds the ordinals each fleet may HELLO with. Merges
+  // are exact, so the byte-equality check below holds no matter how the
+  // threads race.
   options.expected_shards = kFleets;
   auto server = net::ReportServer::Start(
       &networked.value(), pipeline.value().header(), endpoint, options);
@@ -97,7 +98,7 @@ int main() {
               server.value()->endpoint().ToString().c_str());
 
   // Three concurrent reporters, deliberately racing: fleet f HELLOs
-  // ordinal f, so merge order is deterministic anyway.
+  // ordinal f, and whichever closes first merges first.
   std::vector<std::thread> fleets;
   for (size_t f = 0; f < kFleets; ++f) {
     fleets.emplace_back([&, f] {

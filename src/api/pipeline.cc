@@ -71,10 +71,10 @@ Status ValidateDatasetMatches(const data::Dataset& dataset,
 }
 
 // The paper's proposed pipeline (Algorithm 4 + Section IV-C) over the
-// pipeline's collector. One aggregator per chunk, reduced in chunk order
-// after the parallel region: results are bit-deterministic for a fixed
-// (seed, chunk count) regardless of thread scheduling, and a sharded run
-// whose shard boundaries match SplitRange reproduces them exactly.
+// pipeline's collector. One aggregator per chunk, merged after the parallel
+// region. Merges are exact, so results are bit-identical for a fixed seed
+// at any chunk count, and any sharded run over the same rows reproduces
+// them.
 Result<CollectionOutput> RunProposed(const MixedTupleCollector& collector,
                                      const data::Dataset& dataset,
                                      uint64_t seed, ThreadPool* pool) {
@@ -171,20 +171,22 @@ Result<CollectionOutput> RunBaseline(const data::Dataset& dataset,
   for (const uint32_t col : out.categorical_columns) {
     support_sizes.push_back(dataset.schema().column(col).domain_size);
   }
-  // Per-chunk accumulators reduced in chunk order after the parallel region,
-  // mirroring the proposed path: bit-deterministic for a fixed chunk count.
+  // Per-chunk accumulators reduced in chunk order after the parallel region:
+  // bit-deterministic for a fixed chunk count. (The baseline means are f64
+  // sums; only the proposed path's aggregates are exact integers.)
   const uint64_t num_chunks = ParallelForChunkCount(pool, n);
   std::vector<aggregate::VectorMeanEstimator> chunk_means(
       num_chunks, aggregate::VectorMeanEstimator(dn));
-  std::vector<std::vector<std::vector<double>>> chunk_supports(num_chunks);
+  std::vector<std::vector<std::vector<uint64_t>>> chunk_supports(num_chunks);
   for (auto& supports : chunk_supports) {
     for (const size_t size : support_sizes) {
-      supports.emplace_back(size, 0.0);
+      supports.emplace_back(size, 0);
     }
   }
   ParallelFor(pool, n, [&](unsigned chunk, uint64_t begin, uint64_t end) {
     aggregate::VectorMeanEstimator& local_means = chunk_means[chunk];
-    std::vector<std::vector<double>>& local_supports = chunk_supports[chunk];
+    std::vector<std::vector<uint64_t>>& local_supports =
+        chunk_supports[chunk];
     std::vector<double> numeric_tuple(dn, 0.0);
     std::vector<double> dense(dn, 0.0);
     for (uint64_t row = begin; row < end; ++row) {
@@ -210,9 +212,9 @@ Result<CollectionOutput> RunBaseline(const data::Dataset& dataset,
     }
   });
   aggregate::VectorMeanEstimator total_means(dn);
-  std::vector<std::vector<double>> total_supports;
+  std::vector<std::vector<uint64_t>> total_supports;
   for (const size_t size : support_sizes) {
-    total_supports.emplace_back(size, 0.0);
+    total_supports.emplace_back(size, 0);
   }
   for (uint64_t chunk = 0; chunk < num_chunks; ++chunk) {
     total_means.Merge(chunk_means[chunk]);

@@ -476,8 +476,8 @@ Status ServerSession::FeedLocked(size_t shard, const char* data, size_t size) {
 }
 
 Status ServerSession::CloseShard(size_t shard) {
-  // Close latency covers the queued-chunk drain plus the ordered merge —
-  // the interval a merge-barrier caller actually waits on.
+  // Close latency covers the queued-chunk drain plus the merge — the
+  // interval a closing reporter actually waits on.
   const uint64_t close_started_ns =
       metrics_.enabled() ? obs::SteadyNowNs() : 0;
   std::unique_lock<std::mutex> lock(*mutex_);
@@ -770,7 +770,7 @@ std::string ServerSession::Snapshot() const {
     PutU64(&out, inner.size());
     out.append(inner);
   }
-  // v2 ledger section: every reporter's spend history, in ascending id
+  // Ledger section: every reporter's spend history, in ascending id
   // order (std::map iteration), so two sessions that saw the same charges
   // serialize bit-identically.
   const auto& ledgers = accountant_.ledgers();

@@ -8,10 +8,11 @@
 // snapshot — single-epoch or whole-session), Snapshot (serialise every
 // epoch's state for a reducer), Estimate (per-epoch means/frequencies).
 //
-// Determinism contract: shard aggregates merge into the epoch total in
-// CloseShard order (and IngestInputs reduces in argument order), so a
-// sharded session whose shard boundaries match util/threadpool.h SplitRange
-// reproduces the in-process Pipeline::Collect run bit for bit.
+// Determinism contract: every aggregate is an exact integer sum
+// (core/fixed_point.h), so merging shard aggregates into the epoch total is
+// associative and commutative. Any CloseShard order, any IngestInputs
+// argument order, and any shard split give the same bits as the in-process
+// Pipeline::Collect run over the same reports.
 //
 // Concurrency: with ServerSessionOptions::ingest_threads >= 2 the session
 // owns a util::ThreadPool and Feed becomes asynchronous — each open shard is
@@ -19,9 +20,9 @@
 // Feed-call order (the stream stays intact) while different shards decode
 // concurrently. CloseShard and ShardStats are the drain points: they block
 // until the shard's queued chunks are consumed. Because per-shard byte order
-// is preserved and shard aggregates still merge on the calling thread in
-// CloseShard order, a concurrent session is bit-identical to the serial one
-// at every thread count — snapshots and estimates included. The whole public
+// is preserved and merges are exact, a concurrent session is bit-identical
+// to the serial one at every thread count — snapshots and estimates
+// included. The whole public
 // surface is additionally thread-safe (one internal mutex), so multiple
 // producer threads may feed disjoint shards; calls targeting the *same*
 // shard must still be externally ordered, or "per-shard FIFO" has no
@@ -78,9 +79,11 @@ namespace ldp::api {
 ///   u32 num_reporters, then per reporter in ascending id order:
 ///     u16 id_length, id bytes, u64 refusals, u32 num_epoch_entries,
 ///     then per entry: u32 epoch, f64 epsilon spent.
-/// Only version 2 is read; version 1 (no ledger section) is refused.
+/// Only version 3 is read: it embeds version-2 aggregator snapshots
+/// (integer sums). Versions 1 (no ledger section) and 2 (f64 sums) are
+/// refused.
 inline constexpr uint32_t kSessionSnapshotMagic = 0x4550444cu;
-inline constexpr uint16_t kSessionSnapshotVersion = 2;
+inline constexpr uint16_t kSessionSnapshotVersion = 3;
 
 /// True when `bytes` starts with the session snapshot magic.
 bool LooksLikeSessionSnapshot(const std::string& bytes);
@@ -191,10 +194,10 @@ class ServerSession {
   }
 
   /// Declares end-of-stream on shard `shard` and folds its aggregate into
-  /// the current epoch. Shard aggregates merge in CloseShard order. On a
-  /// concurrent session this is a drain point: it blocks until the shard's
-  /// queued chunks are decoded (without stalling other shards' Feed
-  /// calls), then merges on the calling thread.
+  /// the current epoch. Merges are exact, so the order shards close in
+  /// never changes the result. On a concurrent session this is a drain
+  /// point: it blocks until the shard's queued chunks are decoded (without
+  /// stalling other shards' Feed calls), then merges on the calling thread.
   Status CloseShard(size_t shard);
 
   /// Discards shard `shard` without merging anything: drains its queued
@@ -218,9 +221,10 @@ class ServerSession {
   /// pool (inline when ingest_threads <= 1). Loading is all-or-nothing: if
   /// any input fails to open, sniff or decode, nothing merges and the error
   /// names the first failing input's path (in argument order). Then the
-  /// inputs merge IN ARGUMENT ORDER — report streams and single-epoch
-  /// snapshots into the epoch current at the call, session snapshots
-  /// epoch-aligned — so the result is independent of the thread count.
+  /// inputs merge — report streams and single-epoch snapshots into the
+  /// epoch current at the call, session snapshots epoch-aligned. Merges
+  /// are exact, so the result depends on neither the thread count nor the
+  /// argument order.
   /// `totals`, when non-null, receives the stats summed over every input
   /// (a session snapshot counts its bytes and reports), filled either way.
   Status IngestInputs(const std::vector<std::string>& paths,

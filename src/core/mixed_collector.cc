@@ -1,6 +1,5 @@
 #include "core/mixed_collector.h"
 
-#include <cmath>
 #include <map>
 
 #include "core/variance.h"
@@ -96,11 +95,11 @@ MixedAggregator::MixedAggregator(const MixedTupleCollector* collector)
   LDP_CHECK(collector != nullptr);
   const uint32_t d = collector_->dimension();
   attribute_reports_.assign(d, 0);
-  numeric_sums_.assign(d, 0.0);
+  numeric_sums_.assign(d, 0);
   supports_.resize(d);
   for (uint32_t j = 0; j < d; ++j) {
     if (collector_->schema()[j].type == AttributeType::kCategorical) {
-      supports_[j].assign(collector_->schema()[j].domain_size, 0.0);
+      supports_[j].assign(collector_->schema()[j].domain_size, 0);
     }
   }
 }
@@ -124,7 +123,7 @@ void MixedAggregator::OnReportBegin(uint32_t /*entry_count*/) {
 void MixedAggregator::OnNumericEntry(uint32_t attribute, double value) {
   LDP_DCHECK(attribute < collector_->dimension());
   ++attribute_reports_[attribute];
-  numeric_sums_[attribute] += value;
+  numeric_sums_[attribute] += QuantizeValue(value);
 }
 
 void MixedAggregator::OnCategoricalEntry(
@@ -137,10 +136,20 @@ void MixedAggregator::OnCategoricalEntry(
 
 Result<MixedAggregator> MixedAggregator::FromParts(
     const MixedTupleCollector* collector, uint64_t num_reports,
-    std::vector<uint64_t> attribute_reports, std::vector<double> numeric_sums,
-    std::vector<std::vector<double>> supports) {
+    std::vector<uint64_t> attribute_reports,
+    std::vector<FixedPointSum> numeric_sums,
+    std::vector<std::vector<uint64_t>> supports) {
   LDP_CHECK(collector != nullptr);
   const uint32_t d = collector->dimension();
+  const uint64_t max_value = static_cast<uint64_t>(QuantizeValue(
+      ScaledValueBound(d, collector->k(),
+                       collector->scalar_mechanism().OutputBound())));
+  // A count oracle adds at most 1 per report to each entry; HE adds one
+  // packed uint32 component.
+  const uint64_t max_support =
+      collector->categorical_kind() == FrequencyOracleKind::kHe
+          ? UINT32_MAX
+          : 1;
   if (attribute_reports.size() != d || numeric_sums.size() != d ||
       supports.size() != d) {
     return Status::InvalidArgument(
@@ -158,12 +167,16 @@ Result<MixedAggregator> MixedAggregator::FromParts(
       return Status::InvalidArgument(
           "attribute report count exceeds the total report count");
     }
-    if (!std::isfinite(numeric_sums[j])) {
-      return Status::InvalidArgument("non-finite numeric sum");
+    const uint64_t numeric_reports =
+        spec.type == AttributeType::kNumeric ? attribute_reports[j] : 0;
+    if (!SumWithinBound(numeric_sums[j], numeric_reports, max_value)) {
+      return Status::InvalidArgument(
+          "numeric sum exceeds what the attribute's reports can reach");
     }
-    for (const double s : supports[j]) {
-      if (!std::isfinite(s)) {
-        return Status::InvalidArgument("non-finite support count");
+    for (const uint64_t s : supports[j]) {
+      if (!SumWithinBound(s, attribute_reports[j], max_support)) {
+        return Status::InvalidArgument(
+            "support count exceeds what the attribute's reports can reach");
       }
     }
   }
@@ -199,9 +212,8 @@ Result<double> MixedAggregator::EstimateMean(uint32_t attribute) const {
   if (collector_->schema()[attribute].type != AttributeType::kNumeric) {
     return Status::InvalidArgument("attribute is not numeric");
   }
-  if (num_reports_ == 0) return 0.0;
   // Algorithm 4's estimator: average of the dense (zero-padded) reports.
-  return numeric_sums_[attribute] / static_cast<double>(num_reports_);
+  return FixedPointMean(numeric_sums_[attribute], num_reports_);
 }
 
 Result<std::vector<double>> MixedAggregator::EstimateFrequencies(

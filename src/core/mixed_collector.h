@@ -20,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/fixed_point.h"
 #include "core/mechanism.h"
 #include "frequency/frequency_oracle.h"
 #include "util/random.h"
@@ -187,12 +188,15 @@ class MixedAggregator : public MixedReportSink {
   /// Rebuilds an aggregator from previously captured state (the inverse of
   /// the num_reports / attribute_report_counts / numeric_sums / supports
   /// accessors, used by the snapshot codec). Validates every vector length
-  /// against `collector`'s schema and that all values are finite.
+  /// against `collector`'s schema and every sum against what its attribute's
+  /// report count could produce: a numeric sum within report_count ×
+  /// QuantizeValue(ScaledValueBound) (zero at categorical positions), a
+  /// support within report_count (report_count × UINT32_MAX for HE).
   static Result<MixedAggregator> FromParts(
       const MixedTupleCollector* collector, uint64_t num_reports,
       std::vector<uint64_t> attribute_reports,
-      std::vector<double> numeric_sums,
-      std::vector<std::vector<double>> supports);
+      std::vector<FixedPointSum> numeric_sums,
+      std::vector<std::vector<uint64_t>> supports);
 
   /// Folds in one user's report.
   void Add(const MixedReport& report);
@@ -208,7 +212,8 @@ class MixedAggregator : public MixedReportSink {
   /// Merges another aggregator. The two aggregators must be built from the
   /// same collector or from CompatibleWith collectors (equal schema, budget,
   /// sample count and mechanism/oracle kinds); returns FailedPrecondition
-  /// otherwise and leaves this aggregator untouched.
+  /// otherwise and leaves this aggregator untouched. The state is integers
+  /// throughout, so merging is exact: associative and commutative.
   Status Merge(const MixedAggregator& other);
 
   /// Unbiased mean estimate of numeric attribute `attribute`; fails if the
@@ -243,8 +248,10 @@ class MixedAggregator : public MixedReportSink {
   const std::vector<uint64_t>& attribute_report_counts() const {
     return attribute_reports_;
   }
-  const std::vector<double>& numeric_sums() const { return numeric_sums_; }
-  const std::vector<std::vector<double>>& supports() const {
+  const std::vector<FixedPointSum>& numeric_sums() const {
+    return numeric_sums_;
+  }
+  const std::vector<std::vector<uint64_t>>& supports() const {
     return supports_;
   }
 
@@ -255,8 +262,8 @@ class MixedAggregator : public MixedReportSink {
   const MixedTupleCollector* collector_;
   uint64_t num_reports_ = 0;
   std::vector<uint64_t> attribute_reports_;   // reports sampling each attr
-  std::vector<double> numeric_sums_;          // Σ scaled noisy values
-  std::vector<std::vector<double>> supports_;  // per-categorical supports
+  std::vector<FixedPointSum> numeric_sums_;      // Σ quantized noisy values
+  std::vector<std::vector<uint64_t>> supports_;  // per-categorical supports
 };
 
 }  // namespace ldp

@@ -1,6 +1,5 @@
 #include "core/numeric_aggregator.h"
 
-#include <cmath>
 #include <utility>
 
 #include "util/check.h"
@@ -11,14 +10,17 @@ NumericAggregator::NumericAggregator(const SampledNumericMechanism* mechanism)
     : mechanism_(mechanism) {
   LDP_CHECK(mechanism != nullptr);
   attribute_reports_.assign(mechanism_->dimension(), 0);
-  sums_.assign(mechanism_->dimension(), 0.0);
+  sums_.assign(mechanism_->dimension(), 0);
 }
 
 Result<NumericAggregator> NumericAggregator::FromParts(
     const SampledNumericMechanism* mechanism, uint64_t num_reports,
-    std::vector<uint64_t> attribute_reports, std::vector<double> sums) {
+    std::vector<uint64_t> attribute_reports, std::vector<FixedPointSum> sums) {
   LDP_CHECK(mechanism != nullptr);
   const uint32_t d = mechanism->dimension();
+  const uint64_t max_value = static_cast<uint64_t>(QuantizeValue(
+      ScaledValueBound(d, mechanism->k(),
+                       mechanism->scalar_mechanism().OutputBound())));
   if (attribute_reports.size() != d || sums.size() != d) {
     return Status::InvalidArgument(
         "aggregator state vectors must have one entry per attribute");
@@ -28,8 +30,9 @@ Result<NumericAggregator> NumericAggregator::FromParts(
       return Status::InvalidArgument(
           "attribute report count exceeds the total report count");
     }
-    if (!std::isfinite(sums[j])) {
-      return Status::InvalidArgument("non-finite numeric sum");
+    if (!SumWithinBound(sums[j], attribute_reports[j], max_value)) {
+      return Status::InvalidArgument(
+          "numeric sum exceeds what the attribute's reports can reach");
     }
   }
   NumericAggregator aggregator(mechanism);
@@ -53,7 +56,7 @@ void NumericAggregator::OnReportBegin(uint32_t /*entry_count*/) {
 void NumericAggregator::OnEntry(uint32_t attribute, double value) {
   LDP_DCHECK(attribute < mechanism_->dimension());
   ++attribute_reports_[attribute];
-  sums_[attribute] += value;
+  sums_[attribute] += QuantizeValue(value);
 }
 
 Status NumericAggregator::Merge(const NumericAggregator& other) {
@@ -76,9 +79,8 @@ Result<double> NumericAggregator::EstimateMean(uint32_t attribute) const {
   if (attribute >= mechanism_->dimension()) {
     return Status::OutOfRange("attribute index out of range");
   }
-  if (num_reports_ == 0) return 0.0;
   // Algorithm 4's estimator: average of the dense (zero-padded) reports.
-  return sums_[attribute] / static_cast<double>(num_reports_);
+  return FixedPointMean(sums_[attribute], num_reports_);
 }
 
 std::vector<double> NumericAggregator::EstimateAllMeans() const {

@@ -3,14 +3,15 @@
 // reports). This is the numeric-stream counterpart of MixedAggregator: it
 // implements a streaming sink interface so the zero-copy wire decoder
 // (core/wire.h NumericFrameDecoder) can fold a validated frame in without
-// materializing a report, and its accumulated state is a plain sum, so
-// shards aggregated on separate machines merge associatively.
+// materializing a report, and its accumulated state is an exact integer sum
+// (core/fixed_point.h), so shards aggregated on separate machines merge into
+// the same bits in any order.
 //
 // Bit-compatibility contract: on an all-numeric schema the Section IV-C
-// mixed collector and Algorithm 4 draw the same randomness and accumulate
-// the same doubles in the same order, so a NumericAggregator over
-// Algorithm-4 reports reproduces MixedAggregator's numeric sums and mean
-// estimates bit for bit (tested in tests/numeric_stream_test.cc).
+// mixed collector and Algorithm 4 draw the same randomness and quantize the
+// same values, so a NumericAggregator over Algorithm-4 reports reproduces
+// MixedAggregator's numeric sums and mean estimates bit for bit (tested in
+// tests/numeric_stream_test.cc).
 
 #ifndef LDP_CORE_NUMERIC_AGGREGATOR_H_
 #define LDP_CORE_NUMERIC_AGGREGATOR_H_
@@ -18,6 +19,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/fixed_point.h"
 #include "core/sampled_numeric.h"
 #include "util/result.h"
 
@@ -48,10 +50,12 @@ class NumericAggregator : public NumericReportSink {
 
   /// Rebuilds an aggregator from previously captured state (the inverse of
   /// the accessors below; used by the snapshot codec). Validates vector
-  /// lengths against the mechanism's dimension and that sums are finite.
+  /// lengths against the mechanism's dimension and each sum against its
+  /// attribute's report count × QuantizeValue(ScaledValueBound).
   static Result<NumericAggregator> FromParts(
       const SampledNumericMechanism* mechanism, uint64_t num_reports,
-      std::vector<uint64_t> attribute_reports, std::vector<double> sums);
+      std::vector<uint64_t> attribute_reports,
+      std::vector<FixedPointSum> sums);
 
   /// Folds in one user's report.
   void Add(const SampledNumericReport& report);
@@ -64,6 +68,7 @@ class NumericAggregator : public NumericReportSink {
 
   /// Merges another aggregator built from the same or an equivalent
   /// mechanism (equal ε, dimension and k); FailedPrecondition otherwise.
+  /// Exact integer adds: associative and commutative.
   Status Merge(const NumericAggregator& other);
 
   /// Unbiased mean estimate of attribute `attribute` (Algorithm 4's
@@ -80,7 +85,7 @@ class NumericAggregator : public NumericReportSink {
   const std::vector<uint64_t>& attribute_report_counts() const {
     return attribute_reports_;
   }
-  const std::vector<double>& sums() const { return sums_; }
+  const std::vector<FixedPointSum>& sums() const { return sums_; }
 
   /// The mechanism this aggregator was built from.
   const SampledNumericMechanism* mechanism() const { return mechanism_; }
@@ -89,7 +94,7 @@ class NumericAggregator : public NumericReportSink {
   const SampledNumericMechanism* mechanism_;
   uint64_t num_reports_ = 0;
   std::vector<uint64_t> attribute_reports_;  // reports sampling each attr
-  std::vector<double> sums_;                 // Σ scaled noisy values
+  std::vector<FixedPointSum> sums_;          // Σ quantized noisy values
 };
 
 }  // namespace ldp

@@ -5,6 +5,8 @@
 #include <cstring>
 #include <utility>
 
+#include "core/fixed_point.h"
+
 namespace ldp {
 
 namespace {
@@ -22,11 +24,6 @@ constexpr uint8_t kCategoricalEntry = 1;
 // layer's 1 MiB frame bound (stream/report_stream.h kMaxFrameBytes / 4);
 // keeps worst-case decoder scratch bounded even for huge schemas.
 constexpr size_t kMaxStagedPayloadElements = (1u << 20) / 4;
-
-// d/k-scaled output bound shared by both report codecs.
-double ScaledValueBound(uint32_t dimension, uint32_t k, double output_bound) {
-  return static_cast<double>(dimension) / k * output_bound;
-}
 
 }  // namespace
 
@@ -71,8 +68,7 @@ Status NumericFrameDecoder::DecodeInto(const char* data, size_t size,
     if (entry.attribute >= mechanism_->dimension()) {
       return Status::InvalidArgument("attribute index out of range");
     }
-    if (!std::isfinite(entry.value) ||
-        std::abs(entry.value) > value_bound_ * (1.0 + 1e-9)) {
+    if (!std::isfinite(entry.value) || std::abs(entry.value) > value_bound_) {
       return Status::InvalidArgument("value outside the mechanism's range");
     }
     for (const SampledValue& previous : entries_) {
@@ -214,7 +210,7 @@ Status MixedFrameDecoder::DecodeInto(const char* data, size_t size,
       entry.numeric = true;
       if (!reader.TryF64(&entry.numeric_value)) return truncated();
       if (!std::isfinite(entry.numeric_value) ||
-          std::abs(entry.numeric_value) > value_bound_ * (1.0 + 1e-9)) {
+          std::abs(entry.numeric_value) > value_bound_) {
         return Status::InvalidArgument("value outside the mechanism's range");
       }
     } else if (kind == kCategoricalEntry) {

@@ -208,7 +208,7 @@ class NumericFrameDecoder {
 
  private:
   const SampledNumericMechanism* mechanism_;
-  double value_bound_;                 // d/k-scaled mechanism bound
+  double value_bound_;                 // ScaledValueBound of the mechanism
   std::vector<SampledValue> entries_;  // staged entries, <= k
 };
 
@@ -257,7 +257,7 @@ class MixedFrameDecoder {
   };
 
   const MixedTupleCollector* collector_;
-  double value_bound_;                 // d/k-scaled mechanism bound
+  double value_bound_;                 // ScaledValueBound of the mechanism
   std::vector<PendingEntry> entries_;  // staged entries, <= k
   // One reusable payload buffer per entry slot; capacity is retained across
   // frames, so staging a payload copies its elements exactly once.

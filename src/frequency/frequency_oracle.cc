@@ -66,7 +66,7 @@ Result<std::unique_ptr<FrequencyOracle>> MakeFrequencyOracle(
 
 namespace internal_frequency {
 
-std::vector<double> DebiasSupportCounts(const std::vector<double>& support,
+std::vector<double> DebiasSupportCounts(const std::vector<uint64_t>& support,
                                         uint64_t num_reports, double p,
                                         double q) {
   std::vector<double> estimates(support.size(), 0.0);
@@ -74,7 +74,7 @@ std::vector<double> DebiasSupportCounts(const std::vector<double>& support,
   const double n = static_cast<double>(num_reports);
   const double gap = p - q;
   for (size_t v = 0; v < support.size(); ++v) {
-    estimates[v] = (support[v] / n - q) / gap;
+    estimates[v] = (static_cast<double>(support[v]) / n - q) / gap;
   }
   return estimates;
 }

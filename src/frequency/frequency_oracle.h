@@ -59,12 +59,14 @@ class FrequencyOracle {
   virtual Report Perturb(uint32_t value, Rng* rng) const = 0;
 
   /// Folds one report into per-value support counts. `support` must have
-  /// domain_size() entries; entry v counts reports consistent with value v.
+  /// domain_size() entries; entry v counts reports consistent with value v
+  /// (HE adds its fixed-point component instead). Supports are integers, so
+  /// accumulating and merging them is exact in any order.
   /// The report must be well-formed for this oracle (callers ingesting
   /// untrusted bytes run ValidateReport first; reports produced by Perturb
   /// are always well-formed).
   virtual void Accumulate(const Report& report,
-                          std::vector<double>* support) const = 0;
+                          std::vector<uint64_t>* support) const = 0;
 
   /// Checks that `report` is structurally valid for this oracle — the shape
   /// and value ranges Perturb can actually emit — so that Accumulate cannot
@@ -77,7 +79,7 @@ class FrequencyOracle {
   /// Turns support counts over `num_reports` reports into unbiased frequency
   /// estimates, one per domain value. Estimates may fall outside [0, 1];
   /// see FrequencyEstimator for clamping / simplex projection.
-  virtual std::vector<double> Estimate(const std::vector<double>& support,
+  virtual std::vector<double> Estimate(const std::vector<uint64_t>& support,
                                        uint64_t num_reports) const = 0;
 
   /// Variance of a single value's frequency estimate when its true frequency
@@ -120,7 +122,7 @@ namespace internal_frequency {
 /// Debiases per-value support counts for an oracle where a report supports
 /// the user's true value with probability p and any other fixed value with
 /// probability q: f̂_v = (support_v / n - q) / (p - q).
-std::vector<double> DebiasSupportCounts(const std::vector<double>& support,
+std::vector<double> DebiasSupportCounts(const std::vector<uint64_t>& support,
                                         uint64_t num_reports, double p,
                                         double q);
 

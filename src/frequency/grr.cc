@@ -28,11 +28,11 @@ FrequencyOracle::Report GrrOracle::Perturb(uint32_t value, Rng* rng) const {
 }
 
 void GrrOracle::Accumulate(const Report& report,
-                           std::vector<double>* support) const {
+                           std::vector<uint64_t>* support) const {
   LDP_DCHECK(report.size() == 1);
   LDP_DCHECK(support->size() == domain_size());
   LDP_DCHECK(report[0] < domain_size());
-  (*support)[report[0]] += 1.0;
+  ++(*support)[report[0]];
 }
 
 Status GrrOracle::ValidateReport(const Report& report) const {
@@ -45,7 +45,7 @@ Status GrrOracle::ValidateReport(const Report& report) const {
   return Status::OK();
 }
 
-std::vector<double> GrrOracle::Estimate(const std::vector<double>& support,
+std::vector<double> GrrOracle::Estimate(const std::vector<uint64_t>& support,
                                         uint64_t num_reports) const {
   LDP_DCHECK(support.size() == domain_size());
   return internal_frequency::DebiasSupportCounts(support, num_reports, p_, q_);

@@ -20,9 +20,9 @@ class GrrOracle final : public FrequencyOracle {
 
   Report Perturb(uint32_t value, Rng* rng) const override;
   void Accumulate(const Report& report,
-                  std::vector<double>* support) const override;
+                  std::vector<uint64_t>* support) const override;
   Status ValidateReport(const Report& report) const override;
-  std::vector<double> Estimate(const std::vector<double>& support,
+  std::vector<double> Estimate(const std::vector<uint64_t>& support,
                                uint64_t num_reports) const override;
   double EstimateVariance(double f, uint64_t num_reports) const override;
   size_t MaxReportSize() const override { return 1; }

@@ -11,7 +11,7 @@ namespace ldp {
 FrequencyEstimator::FrequencyEstimator(const FrequencyOracle* oracle)
     : oracle_(oracle) {
   LDP_CHECK(oracle != nullptr);
-  support_.assign(oracle_->domain_size(), 0.0);
+  support_.assign(oracle_->domain_size(), 0);
 }
 
 void FrequencyEstimator::Add(const FrequencyOracle::Report& report) {

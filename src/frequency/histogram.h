@@ -39,11 +39,11 @@ class FrequencyEstimator {
   uint64_t count() const { return count_; }
 
   /// The raw per-value support counts (for inspection/testing).
-  const std::vector<double>& support() const { return support_; }
+  const std::vector<uint64_t>& support() const { return support_; }
 
  private:
   const FrequencyOracle* oracle_;
-  std::vector<double> support_;
+  std::vector<uint64_t> support_;
   uint64_t count_ = 0;
 };
 

@@ -43,12 +43,11 @@ FrequencyOracle::Report HeOracle::Perturb(uint32_t value, Rng* rng) const {
 }
 
 void HeOracle::Accumulate(const Report& report,
-                          std::vector<double>* support) const {
+                          std::vector<uint64_t>* support) const {
   LDP_DCHECK(report.size() == domain_size());
   LDP_DCHECK(support->size() == domain_size());
   for (uint32_t v = 0; v < domain_size(); ++v) {
-    (*support)[v] +=
-        static_cast<double>(report[v]) / kFixedPointScale - kOffset;
+    (*support)[v] += report[v];
   }
 }
 
@@ -60,13 +59,18 @@ Status HeOracle::ValidateReport(const Report& report) const {
   return Status::OK();
 }
 
-std::vector<double> HeOracle::Estimate(const std::vector<double>& support,
+std::vector<double> HeOracle::Estimate(const std::vector<uint64_t>& support,
                                        uint64_t num_reports) const {
   LDP_DCHECK(support.size() == domain_size());
   std::vector<double> estimates(domain_size(), 0.0);
   if (num_reports == 0) return estimates;
+  // Remove every report's packing offset exactly, then unscale once.
+  const __int128_t offset =
+      static_cast<__int128_t>(num_reports) * kFixedPointOffset;
   for (uint32_t v = 0; v < domain_size(); ++v) {
-    estimates[v] = support[v] / static_cast<double>(num_reports);
+    const __int128_t centered = static_cast<__int128_t>(support[v]) - offset;
+    estimates[v] = static_cast<double>(centered) / kFixedPointScale /
+                   static_cast<double>(num_reports);
   }
   return estimates;
 }
@@ -132,11 +136,11 @@ FrequencyOracle::Report TheOracle::Perturb(uint32_t value, Rng* rng) const {
 }
 
 void TheOracle::Accumulate(const Report& report,
-                           std::vector<double>* support) const {
+                           std::vector<uint64_t>* support) const {
   LDP_DCHECK(support->size() == domain_size());
   for (const uint32_t bit : report) {
     LDP_DCHECK(bit < domain_size());
-    (*support)[bit] += 1.0;
+    ++(*support)[bit];
   }
 }
 
@@ -156,7 +160,7 @@ Status TheOracle::ValidateReport(const Report& report) const {
   return Status::OK();
 }
 
-std::vector<double> TheOracle::Estimate(const std::vector<double>& support,
+std::vector<double> TheOracle::Estimate(const std::vector<uint64_t>& support,
                                         uint64_t num_reports) const {
   LDP_DCHECK(support.size() == domain_size());
   return internal_frequency::DebiasSupportCounts(support, num_reports, p_,

@@ -22,7 +22,8 @@ namespace ldp {
 
 /// HE: report payload is the noisy histogram scaled to fixed point (each
 /// component stored as round(value · kFixedPointScale) offset to stay
-/// non-negative in the uint32 payload).
+/// non-negative in the uint32 payload). Supports sum the raw packed
+/// components, so they stay exact integers; Estimate removes the offset.
 class HeOracle final : public FrequencyOracle {
  public:
   /// Fixed-point scale used to pack doubles into the uint32 report payload.
@@ -30,14 +31,18 @@ class HeOracle final : public FrequencyOracle {
   /// Payload offset keeping packed values positive (Laplace tails beyond
   /// ±2047 are clamped; at scale 2/ε this is > 1000σ for any sane ε).
   static constexpr double kOffset = 2048.0;
+  /// kOffset in packed units: what each report adds to every support entry
+  /// on top of its scaled noisy component.
+  static constexpr uint64_t kFixedPointOffset =
+      static_cast<uint64_t>(kOffset * kFixedPointScale);
 
   HeOracle(double epsilon, uint32_t domain_size);
 
   Report Perturb(uint32_t value, Rng* rng) const override;
   void Accumulate(const Report& report,
-                  std::vector<double>* support) const override;
+                  std::vector<uint64_t>* support) const override;
   Status ValidateReport(const Report& report) const override;
-  std::vector<double> Estimate(const std::vector<double>& support,
+  std::vector<double> Estimate(const std::vector<uint64_t>& support,
                                uint64_t num_reports) const override;
   double EstimateVariance(double f, uint64_t num_reports) const override;
   const char* name() const override { return "HE"; }
@@ -60,9 +65,9 @@ class TheOracle final : public FrequencyOracle {
 
   Report Perturb(uint32_t value, Rng* rng) const override;
   void Accumulate(const Report& report,
-                  std::vector<double>* support) const override;
+                  std::vector<uint64_t>* support) const override;
   Status ValidateReport(const Report& report) const override;
-  std::vector<double> Estimate(const std::vector<double>& support,
+  std::vector<double> Estimate(const std::vector<uint64_t>& support,
                                uint64_t num_reports) const override;
   double EstimateVariance(double f, uint64_t num_reports) const override;
   const char* name() const override { return "THE"; }

@@ -43,7 +43,7 @@ FrequencyOracle::Report OlhOracle::Perturb(uint32_t value, Rng* rng) const {
 }
 
 void OlhOracle::Accumulate(const Report& report,
-                           std::vector<double>* support) const {
+                           std::vector<uint64_t>* support) const {
   LDP_DCHECK(report.size() == 3);
   LDP_DCHECK(support->size() == domain_size());
   const uint64_t seed = static_cast<uint64_t>(report[0]) |
@@ -51,7 +51,7 @@ void OlhOracle::Accumulate(const Report& report,
   const uint32_t bucket = report[2];
   for (uint32_t v = 0; v < domain_size(); ++v) {
     if (HashToBucket(seed, v, hash_range_) == bucket) {
-      (*support)[v] += 1.0;
+      ++(*support)[v];
     }
   }
 }
@@ -67,7 +67,7 @@ Status OlhOracle::ValidateReport(const Report& report) const {
   return Status::OK();
 }
 
-std::vector<double> OlhOracle::Estimate(const std::vector<double>& support,
+std::vector<double> OlhOracle::Estimate(const std::vector<uint64_t>& support,
                                         uint64_t num_reports) const {
   LDP_DCHECK(support.size() == domain_size());
   return internal_frequency::DebiasSupportCounts(support, num_reports, p_,

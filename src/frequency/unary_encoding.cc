@@ -61,11 +61,11 @@ FrequencyOracle::Report UnaryEncodingOracle::PerturbSkip(uint32_t value,
 }
 
 void UnaryEncodingOracle::Accumulate(const Report& report,
-                                     std::vector<double>* support) const {
+                                     std::vector<uint64_t>* support) const {
   LDP_DCHECK(support->size() == domain_size());
   for (const uint32_t bit : report) {
     LDP_DCHECK(bit < domain_size());
-    (*support)[bit] += 1.0;
+    ++(*support)[bit];
   }
 }
 
@@ -86,7 +86,7 @@ Status UnaryEncodingOracle::ValidateReport(const Report& report) const {
 }
 
 std::vector<double> UnaryEncodingOracle::Estimate(
-    const std::vector<double>& support, uint64_t num_reports) const {
+    const std::vector<uint64_t>& support, uint64_t num_reports) const {
   LDP_DCHECK(support.size() == domain_size());
   return internal_frequency::DebiasSupportCounts(support, num_reports, p_, q_);
 }

@@ -45,9 +45,9 @@ class UnaryEncodingOracle : public FrequencyOracle {
   Report PerturbSkip(uint32_t value, Rng* rng) const;
 
   void Accumulate(const Report& report,
-                  std::vector<double>* support) const override;
+                  std::vector<uint64_t>* support) const override;
   Status ValidateReport(const Report& report) const override;
-  std::vector<double> Estimate(const std::vector<double>& support,
+  std::vector<double> Estimate(const std::vector<uint64_t>& support,
                                uint64_t num_reports) const override;
   double EstimateVariance(double f, uint64_t num_reports) const override;
 

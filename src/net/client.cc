@@ -140,8 +140,8 @@ Status CollectorClient::PumpMessage() {
     case MessageType::kDataAck:
       return ProcessAck(message.second);
     case MessageType::kShardClosed: {
-      // Merge-barrier reordering: a verdict landed while this thread was
-      // waiting for window room. Stash it for AwaitShardClosed.
+      // A pipelined close's verdict landed while this thread was waiting
+      // for window room. Stash it for AwaitShardClosed.
       ShardClosedMessage closed;
       LDP_ASSIGN_OR_RETURN(closed, DecodeShardClosed(message.second));
       closed_payloads_[closed.channel] = std::move(message.second);
@@ -284,19 +284,8 @@ Result<ShardCloseSummary> CollectorClient::AwaitShardClosed(uint32_t channel) {
     payload = std::move(stashed->second);
     closed_payloads_.erase(stashed);
   } else {
-    // The merge verdict may wait at the collector's ordinal barrier until
-    // every smaller shard lands — legitimately much longer than the idle
-    // timeout — so lift the timeout for this one reply (the collector's
-    // own merge-turn bound keeps the wait finite).
-    if (options_.idle_timeout_ms > 0) {
-      LDP_RETURN_IF_ERROR(socket_.SetIdleTimeout(0));
-    }
-    Result<std::string> reply = AwaitReply(MessageType::kShardClosed, channel);
-    if (options_.idle_timeout_ms > 0) {
-      LDP_RETURN_IF_ERROR(socket_.SetIdleTimeout(options_.idle_timeout_ms));
-    }
-    if (!reply.ok()) return reply.status();
-    payload = std::move(reply).value();
+    LDP_ASSIGN_OR_RETURN(payload,
+                         AwaitReply(MessageType::kShardClosed, channel));
   }
   ShardClosedMessage closed;
   LDP_ASSIGN_OR_RETURN(closed, DecodeShardClosed(payload));

@@ -3,10 +3,10 @@
 // OpenShard performs the HELLO/schema negotiation for one channel, Send
 // ships raw report-stream frame bytes in bounded DATA messages, and
 // CloseShard declares end-of-stream and returns the server's merge verdict
-// with exact ingest statistics. Because the server merges in ordinal
-// order, SHARD_CLOSED replies can arrive out of order relative to traffic
-// on other channels — the client matches replies by channel and stashes
-// early arrivals, so callers never see the reordering.
+// with exact ingest statistics. Closes can be pipelined and their
+// SHARD_CLOSED replies interleave with traffic on other channels — the
+// client matches replies by channel and stashes early arrivals, so callers
+// may await verdicts in any order.
 //
 // The legacy single-shard surface (Connect negotiating one shard, then
 // Send/Close/Reopen) is preserved as wrappers over one "primary" channel;

@@ -19,26 +19,27 @@
 //                                    <- DATA_ACK {channel -> bytes}*
 //                                       (batched; only if the HELLO set
 //                                        kHelloFlagDataAcks)
-//   CLOSE_SHARD {channel}            -> drain, merge in ordinal order
+//   CLOSE_SHARD {channel}            -> drain, merge
 //                                    <- SHARD_CLOSED {channel, status,
 //                                                     stats}
 //   ... another HELLO (a new channel/shard), or ADVANCE_EPOCH, or EOF.
 //
 // A `channel` is the client-chosen id multiplexing several concurrently
 // open shards over one connection; ids are free for reuse once their
-// SHARD_CLOSED arrives. Because merges wait for the ordinal barrier, a
-// SHARD_CLOSED may arrive *after* replies to later requests on the same
-// connection — clients must match replies by channel, not by order.
+// SHARD_CLOSED arrives. A client may pipeline several CLOSE_SHARDs and
+// await them in any order, and DATA_ACKs interleave with the verdicts —
+// clients must match replies by channel, not by order.
 //
 // The HELLO payload carries the exact report-stream header
 // (stream/report_stream.h) the subsequent DATA bytes would have started
 // with on disk, so the server rejects a mismatched client (schema hash, ε,
 // kinds) before a single report is decoded, and the ingester still consumes
 // a byte-identical stream. `ordinal` is the client's shard index in its
-// campaign: the server merges closed shards in ascending ordinal order,
-// which is what makes a networked run bit-identical to the file-based
-// `ldp_aggregate shard-0 shard-1 ...` run no matter which connection
-// finishes first.
+// campaign: the server refuses a duplicate of an ordinal that is streaming
+// or already merged this epoch, and a WAL replay resumes shards by it.
+// Merges are exact integer sums, so a networked run is bit-identical to
+// the file-based `ldp_aggregate shard-0 shard-1 ...` run no matter which
+// connection arrives or finishes first.
 //
 // This header is transport-agnostic (pure encode/decode over strings) so
 // the framing is unit-testable without sockets.
@@ -149,8 +150,8 @@ struct HelloMessage {
   uint32_t channel = 0;
   /// kHelloFlag* bits. Zero keeps the server reply-only (no DATA_ACKs).
   uint32_t flags = 0;
-  /// The shard's merge position (see file comment). Clients streaming a
-  /// single ad-hoc shard use 0.
+  /// The shard's index in its campaign (see file comment). Clients
+  /// streaming a single ad-hoc shard use 0.
   uint64_t ordinal = 0;
   /// v3 only: the authenticated reporter identity (1..kMaxReporterIdBytes
   /// opaque bytes) the server keys this shard's privacy ledger by.
@@ -214,11 +215,11 @@ Result<DataAckMessage> DecodeDataAck(const std::string& payload);
 /// SNAPSHOT: a relay node ships its whole session snapshot upstream. The
 /// snapshot is cumulative (every epoch, all reports so far), so a node may
 /// re-send at any cadence: the upstream keeps only the highest `seq` per
-/// node and folds the survivors in ascending node-id order at drain time —
-/// retries and restarts are idempotent by construction.
+/// node and folds the survivors at drain time — retries and restarts are
+/// idempotent by construction.
 struct SnapshotMessage {
   uint16_t version = kProtocolVersion;
-  uint64_t node = 0;   ///< The sender's node id (its merge position).
+  uint64_t node = 0;   ///< The sender's node id.
   uint64_t seq = 0;    ///< Monotone per node; highest wins upstream.
   uint32_t epoch = 0;  ///< Sender's current epoch at snapshot time.
   /// api::ServerSession::Snapshot() bytes ('LDPE'), length-prefixed on the

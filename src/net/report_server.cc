@@ -104,18 +104,12 @@ Result<std::unique_ptr<ReportServer>> ReportServer::Start(
   Result<Listener> listener = Listener::Bind(endpoint);
   if (!listener.ok()) return listener.status();
   server->listener_ = std::move(listener).value();
-  // Seed the barrier and resume state from a WAL replay before any loop
-  // exists (no lock needed yet): ordinals the replay already merged start
-  // done, so the frontier opens past them and a re-HELLO is refused.
+  // Seed the duplicate and resume state from a WAL replay before any loop
+  // exists (no lock needed yet): a re-HELLO for an ordinal the replay
+  // already closed is refused.
   server->resume_shards_ = options.resume_shards;
-  for (uint64_t ordinal : options.completed_ordinals) {
-    server->done_ordinals_.insert(ordinal);
-  }
   if (options.expected_shards > 0) {
-    while (server->merge_frontier_ < options.expected_shards &&
-           server->done_ordinals_.count(server->merge_frontier_) != 0) {
-      ++server->merge_frontier_;
-    }
+    server->done_ordinals_ = options.completed_ordinals;
   }
   server->loops_.reserve(options.acceptors);
   for (unsigned i = 0; i < options.acceptors; ++i) {
@@ -137,9 +131,6 @@ Result<std::unique_ptr<ReportServer>> ReportServer::Start(
     server->loops_[i]->thread =
         std::thread([raw = server.get(), i] { raw->LoopMain(i); });
   }
-  server->scheduler_ = std::thread([raw = server.get()] {
-    raw->SchedulerMain();
-  });
   if (options.journal != nullptr) {
     options.journal->Record(obs::EventKind::kServerStart);
   }
@@ -165,11 +156,9 @@ void ReportServer::Stop(bool drain) {
     }
     stop_accepting_ = true;
     if (!drain) {
-      hard_stop_ = true;
       // Kick every connection out of the kernel: reads return EOF, sends
       // fail, and the loops tear everything down and abandon open shards.
       for (const auto& [fd, conn] : conns_) ::shutdown(fd, SHUT_RDWR);
-      merge_cv_.notify_all();
     } else {
       // A drain waits only for shards in flight: connections idling
       // between shards are woken so they notice the stop immediately
@@ -188,14 +177,6 @@ void ReportServer::Stop(bool drain) {
   for (auto& loop : loops_) {
     if (loop->thread.joinable()) loop->thread.join();
   }
-  // The loops are gone, so no new close can be enqueued: tell the
-  // scheduler to abandon whatever is left and exit.
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    scheduler_exit_ = true;
-    merge_cv_.notify_all();
-  }
-  if (scheduler_.joinable()) scheduler_.join();
   {
     std::lock_guard<std::mutex> lock(mutex_);
     stopped_ = true;
@@ -218,7 +199,7 @@ Status ReportServer::FoldRelaySnapshots() {
     pending.swap(relay_snapshots_);
   }
   Status first_error = Status::OK();
-  for (const auto& [node, snap] : pending) {  // std::map: ascending node id
+  for (const auto& [node, snap] : pending) {
     const Status merged = session_->Merge(snap.bytes);
     if (merged.ok()) {
       std::lock_guard<std::mutex> lock(mutex_);
@@ -258,25 +239,14 @@ void ReportServer::LoopMain(size_t index) {
   }
   std::vector<PollerEvent> events;
   std::vector<std::shared_ptr<Conn>> adopts;
-  std::vector<std::shared_ptr<Conn>> flushes;
   while (true) {
     {
       std::lock_guard<std::mutex> lock(loop.mutex);
       adopts.swap(loop.adopt_inbox);
-      flushes.swap(loop.flush_inbox);
       loop.woken = false;
     }
     for (const auto& conn : adopts) AdoptConn(loop, conn);
     adopts.clear();
-    for (const auto& conn : flushes) {
-      // A scheduler reply just landed (merge verdict or drain goodbye):
-      // re-arm so a deadline that expired during the barrier wait cannot
-      // reap the connection before the reply flushes, and so a drain
-      // goodbye gets its bounded grace even with the idle timer off.
-      ArmDeadline(conn);
-      FlushConn(loop, conn);
-    }
-    flushes.clear();
 
     bool stopping;
     {
@@ -289,7 +259,7 @@ void ReportServer::LoopMain(size_t index) {
     }
     if (stopping && loop.conns.empty()) {
       std::lock_guard<std::mutex> lock(loop.mutex);
-      if (loop.adopt_inbox.empty() && loop.flush_inbox.empty()) return;
+      if (loop.adopt_inbox.empty()) return;
       continue;  // late arrivals: adopt them so they can be torn down
     }
 
@@ -362,31 +332,13 @@ void ReportServer::LoopMain(size_t index) {
           continue;
         }
         bool goodbye_stuck;
-        bool barrier_wait;
         {
           std::lock_guard<std::mutex> conn_lock(conn->mutex);
           goodbye_stuck = conn->close_after_flush;
-          barrier_wait = !conn->channels.empty();
-          for (const auto& [channel, state] : conn->channels) {
-            if (!state.closing) {
-              barrier_wait = false;
-              break;
-            }
-          }
         }
         if (goodbye_stuck) {
           // A drain goodbye the peer never read: give up on delivery.
           DestroyConn(loop, conn);
-          continue;
-        }
-        if (barrier_wait) {
-          // Every channel is awaiting its SHARD_CLOSED verdict: the wait
-          // belongs to the merge scheduler (bounded by
-          // merge_turn_timeout_ms, often longer than the idle budget) and
-          // the client has stopped sending on purpose — not a slow loris.
-          // Re-arm rather than reap, or an out-of-order campaign with
-          // skew beyond idle_timeout_ms would lose its merge verdicts.
-          ArmDeadline(conn);
           continue;
         }
         HandleConnFailure(loop, conn, /*clean_eof=*/false, /*reaped=*/true);
@@ -565,7 +517,7 @@ bool ReportServer::DispatchMessage(Loop& loop,
       {
         std::lock_guard<std::mutex> conn_lock(conn->mutex);
         auto found = conn->channels.find(channel);
-        if (found != conn->channels.end() && !found->second.closing) {
+        if (found != conn->channels.end()) {
           shard = found->second.shard;
           open = true;
         }
@@ -584,8 +536,8 @@ bool ReportServer::DispatchMessage(Loop& loop,
         options_.wal->OnShardData(shard, data, size);
       }
       // Feed without conn->mutex: it may block on ingest backpressure, and
-      // the scheduler must stay able to queue replies meanwhile. Only the
-      // owning loop erases a non-closing channel, so `shard` stays valid.
+      // Stop must stay able to inspect the connection meanwhile. Only the
+      // owning loop erases a channel, so `shard` stays valid.
       const Status fed = session_->Feed(shard, data, size);
       if (conn->data_started_ns != 0) {
         metrics_.data_messages->Increment();
@@ -615,73 +567,18 @@ bool ReportServer::DispatchMessage(Loop& loop,
       }
       return !conn->dead;
     }
-    case MessageType::kCloseShard: {
-      Result<CloseShardMessage> close = DecodeCloseShard(conn->payload);
-      if (!close.ok()) {
-        PoisonConn(loop, conn, close.status(), /*count_always=*/false);
-        return false;
-      }
-      ChannelState state;
-      bool open = false;
-      {
-        std::lock_guard<std::mutex> conn_lock(conn->mutex);
-        auto found = conn->channels.find(close.value().channel);
-        if (found != conn->channels.end() && !found->second.closing) {
-          found->second.closing = true;
-          state = found->second;
-          open = true;
-        }
-      }
-      if (!open) {
-        PoisonConn(loop, conn,
-                   Status::FailedPrecondition("CLOSE_SHARD before HELLO"),
-                   /*count_always=*/false);
-        return false;
-      }
-      // Queue the channel's final watermark ahead of the eventual
-      // SHARD_CLOSED reply so a windowing client's in-flight budget fully
-      // drains. Queue only — no socket I/O yet.
-      FlushPendingAcks(conn);
-      if (options_.journal != nullptr) {
-        options_.journal->Record(obs::EventKind::kMergeEnter, state.ordinal);
-      }
-      PendingClose pending;
-      pending.conn = conn;
-      pending.channel = close.value().channel;
-      pending.shard = state.shard;
-      pending.ordinal = state.ordinal;
-      pending.enqueued_ns = metrics_.enabled() ? obs::SteadyNowNs() : 0;
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (options_.merge_turn_timeout_ms > 0) {
-          pending.has_deadline = true;
-          pending.deadline =
-              std::chrono::steady_clock::now() +
-              std::chrono::milliseconds(options_.merge_turn_timeout_ms);
-        }
-        pending_closes_.emplace(state.ordinal, std::move(pending));
-      }
-      merge_cv_.notify_all();
-      // Flush only after the close is scheduler-owned: a send failure here
-      // destroys the connection, and AbandonConnChannels skips closing
-      // channels — an un-enqueued close would leave the ordinal active
-      // forever and wedge the expected-shards barrier. With the close
-      // enqueued, a dead connection merely drops the reply; FinishOrdinal
-      // still runs in CompleteClose.
-      FlushConn(loop, conn);
-      return !conn->dead;
-    }
+    case MessageType::kCloseShard:
+      return HandleCloseShard(loop, conn);
     case MessageType::kAdvanceEpoch: {
       // The session refuses while any shard (this connection's included)
       // is open, so no extra gating is needed here.
       const Status advanced = session_->AdvanceEpoch();
       if (advanced.ok()) {
         // A new epoch restarts the campaign: ordinals 0..N-1 stream
-        // again, so the expected-shards barrier resets — and a new epoch
-        // has no pre-crash shards, so unclaimed resume entries expire.
+        // again — and a new epoch has no pre-crash shards, so unclaimed
+        // resume entries expire.
         std::lock_guard<std::mutex> lock(mutex_);
         done_ordinals_.clear();
-        merge_frontier_ = 0;
         resume_shards_.clear();
       }
       EpochAdvancedMessage reply;
@@ -818,7 +715,7 @@ bool ReportServer::HandleHello(Loop& loop,
     if (!opened.ok()) {
       // Release the ordinal the way an abandoned shard would: the campaign
       // proceeds with this reporter's shard simply missing.
-      FinishOrdinal(state.ordinal);
+      FinishOrdinal(state.ordinal, /*closed=*/false);
       {
         std::lock_guard<std::mutex> lock(mutex_);
         ++stats_.hello_rejected;
@@ -871,6 +768,73 @@ bool ReportServer::HandleHello(Loop& loop,
   ok.epoch = session_->current_epoch();
   ok.resume_offset = is_resume ? resumed.durable_bytes : 0;
   QueueMessage(conn, MessageType::kHelloOk, EncodeHelloOk(ok));
+  FlushConn(loop, conn);
+  return !conn->dead;
+}
+
+bool ReportServer::HandleCloseShard(Loop& loop,
+                                    const std::shared_ptr<Conn>& conn) {
+  Result<CloseShardMessage> close = DecodeCloseShard(conn->payload);
+  if (!close.ok()) {
+    PoisonConn(loop, conn, close.status(), /*count_always=*/false);
+    return false;
+  }
+  const uint32_t channel = close.value().channel;
+  ChannelState state;
+  bool open = false;
+  {
+    std::lock_guard<std::mutex> conn_lock(conn->mutex);
+    auto found = conn->channels.find(channel);
+    if (found != conn->channels.end()) {
+      state = found->second;
+      open = true;
+    }
+  }
+  if (!open) {
+    PoisonConn(loop, conn,
+               Status::FailedPrecondition("CLOSE_SHARD before HELLO"),
+               /*count_always=*/false);
+    return false;
+  }
+  // Queue the channel's final watermark ahead of the SHARD_CLOSED reply so
+  // a windowing client's in-flight budget fully drains.
+  FlushPendingAcks(conn);
+  if (options_.journal != nullptr) {
+    options_.journal->Record(obs::EventKind::kMergeEnter, state.ordinal);
+  }
+  if (options_.wal != nullptr) options_.wal->OnShardClose(state.shard);
+  const Status closed = session_->CloseShard(state.shard);
+  FinishOrdinal(state.ordinal, /*closed=*/true);
+  if (options_.journal != nullptr) {
+    options_.journal->Record(obs::EventKind::kMergeExit, state.ordinal,
+                             closed.ok() ? 0 : 1);
+  }
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (closed.ok()) {
+      ++stats_.shards_merged;
+    } else {
+      ++stats_.shards_discarded;
+    }
+  }
+  if (metrics_.enabled()) {
+    (closed.ok() ? metrics_.shards_merged : metrics_.shards_discarded)
+        ->Increment();
+  }
+  ShardClosedMessage reply;
+  reply.channel = channel;
+  reply.code = static_cast<uint8_t>(closed.code());
+  reply.message = closed.message();
+  Result<stream::ShardIngester::Stats> shard_stats =
+      session_->ShardStats(state.shard);
+  if (shard_stats.ok()) reply.stats = shard_stats.value();
+  // Drop the channel before the reply can flush: a send failure tears the
+  // connection down, and its abandon sweep must not see a merged shard.
+  {
+    std::lock_guard<std::mutex> conn_lock(conn->mutex);
+    conn->channels.erase(channel);
+  }
+  QueueMessage(conn, MessageType::kShardClosed, EncodeShardClosed(reply));
   FlushConn(loop, conn);
   return !conn->dead;
 }
@@ -988,23 +952,17 @@ size_t ReportServer::AbandonConnChannels(const std::shared_ptr<Conn>& conn) {
   {
     std::lock_guard<std::mutex> conn_lock(conn->mutex);
     total = conn->channels.size();
-    for (auto it = conn->channels.begin(); it != conn->channels.end();) {
-      // A close in flight belongs to the merge scheduler and completes
-      // there; only channels still streaming are abandoned.
-      if (it->second.closing) {
-        ++it;
-        continue;
-      }
-      doomed.push_back(it->second);
-      it = conn->channels.erase(it);
+    for (const auto& [channel, state] : conn->channels) {
+      doomed.push_back(state);
     }
+    conn->channels.clear();
   }
   // An aborted upload contributes nothing, even if it stopped on a frame
-  // boundary: drop the shard and release its merge turn.
+  // boundary: drop the shard and release its ordinal.
   for (const ChannelState& state : doomed) {
     if (options_.wal != nullptr) options_.wal->OnShardAbandon(state.shard);
     (void)session_->AbandonShard(state.shard);
-    FinishOrdinal(state.ordinal);
+    FinishOrdinal(state.ordinal, /*closed=*/false);
     CountAbandoned();
   }
   return total;
@@ -1108,154 +1066,6 @@ void ReportServer::FlushPendingAcks(const std::shared_ptr<Conn>& conn) {
   QueueMessage(conn, MessageType::kDataAck, EncodeDataAck(ack));
 }
 
-// --- merge scheduler -------------------------------------------------------
-
-void ReportServer::SchedulerMain() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  while (true) {
-    // A close is ready when its ordinal holds the merge turn — or the
-    // server is tearing down, in which case everything "readies" as an
-    // abandonment.
-    uint64_t ready_ordinal = 0;
-    bool have_ready = false;
-    if (!pending_closes_.empty()) {
-      if (hard_stop_ || scheduler_exit_) {
-        ready_ordinal = pending_closes_.begin()->first;
-        have_ready = true;
-      } else if (options_.expected_shards > 0) {
-        // Strict barrier: only the frontier ordinal may merge.
-        auto found = pending_closes_.find(merge_frontier_);
-        if (found != pending_closes_.end()) {
-          ready_ordinal = found->first;
-          have_ready = true;
-        }
-      } else if (!active_ordinals_.empty()) {
-        // Ad hoc: the smallest ordinal still open holds the turn.
-        auto found = pending_closes_.find(*active_ordinals_.begin());
-        if (found != pending_closes_.end()) {
-          ready_ordinal = found->first;
-          have_ready = true;
-        }
-      }
-    }
-    if (have_ready) {
-      PendingClose close = std::move(pending_closes_[ready_ordinal]);
-      pending_closes_.erase(ready_ordinal);
-      const bool stopping = hard_stop_ || scheduler_exit_;
-      lock.unlock();
-      CompleteClose(std::move(close), /*got_turn=*/!stopping, stopping);
-      lock.lock();
-      continue;
-    }
-    // Guard against a campaign whose predecessor ordinal never arrives:
-    // a close that outwaits merge_turn_timeout_ms is abandoned.
-    const SteadyTime now = std::chrono::steady_clock::now();
-    bool expired_one = false;
-    for (auto it = pending_closes_.begin(); it != pending_closes_.end();
-         ++it) {
-      if (!it->second.has_deadline || it->second.deadline > now) continue;
-      PendingClose close = std::move(it->second);
-      pending_closes_.erase(it);
-      lock.unlock();
-      CompleteClose(std::move(close), /*got_turn=*/false, /*stopping=*/false);
-      lock.lock();
-      expired_one = true;
-      break;  // iterators are stale; rescan
-    }
-    if (expired_one) continue;
-    if (scheduler_exit_ && pending_closes_.empty()) return;
-    SteadyTime nearest = SteadyTime::max();
-    for (const auto& [ordinal, close] : pending_closes_) {
-      if (close.has_deadline) nearest = std::min(nearest, close.deadline);
-    }
-    if (nearest == SteadyTime::max()) {
-      merge_cv_.wait(lock);
-    } else {
-      merge_cv_.wait_until(lock, nearest);
-    }
-  }
-}
-
-void ReportServer::CompleteClose(PendingClose close, bool got_turn,
-                                 bool stopping) {
-  if (metrics_.enabled() && close.enqueued_ns != 0) {
-    // The barrier wait alone — how long this ordinal stalled on its
-    // predecessors — not the close/merge work that follows.
-    metrics_.merge_barrier_wait_us->Observe(
-        (obs::SteadyNowNs() - close.enqueued_ns) / 1000);
-  }
-  Status closed = Status::OK();
-  if (got_turn) {
-    // The close record carries the merge order: written while holding the
-    // merge turn, so a replay closes shards in exactly this sequence.
-    if (options_.wal != nullptr) options_.wal->OnShardClose(close.shard);
-    closed = session_->CloseShard(close.shard);
-  } else {
-    if (options_.wal != nullptr) options_.wal->OnShardAbandon(close.shard);
-    (void)session_->AbandonShard(close.shard);
-    closed = stopping
-                 ? Status::FailedPrecondition("collector is shutting down")
-                 : Status::FailedPrecondition(
-                       "timed out waiting for the merge turn (a smaller "
-                       "ordinal never finished)");
-  }
-  FinishOrdinal(close.ordinal);
-  if (options_.journal != nullptr) {
-    options_.journal->Record(obs::EventKind::kMergeExit, close.ordinal,
-                             closed.ok() ? 0 : 1);
-  }
-  ShardClosedMessage reply;
-  reply.channel = close.channel;
-  reply.code = static_cast<uint8_t>(closed.code());
-  reply.message = closed.message();
-  Result<stream::ShardIngester::Stats> shard_stats =
-      session_->ShardStats(close.shard);
-  if (shard_stats.ok()) reply.stats = shard_stats.value();
-  bool draining;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (closed.ok()) {
-      ++stats_.shards_merged;
-    } else {
-      ++stats_.shards_discarded;
-    }
-    draining = stop_accepting_;
-  }
-  if (metrics_.enabled()) {
-    (closed.ok() ? metrics_.shards_merged : metrics_.shards_discarded)
-        ->Increment();
-  }
-  std::string wire;
-  if (!AppendMessage(MessageType::kShardClosed, EncodeShardClosed(reply),
-                     &wire)
-           .ok()) {
-    wire.clear();
-  }
-  bool deliver = false;
-  {
-    std::lock_guard<std::mutex> conn_lock(close.conn->mutex);
-    close.conn->channels.erase(close.channel);
-    if (!close.conn->dead && !wire.empty()) {
-      close.conn->outbuf.append(wire);
-      // During a drain, a connection whose last shard just closed has
-      // nothing left to say once the reply flushes.
-      if (draining && close.conn->channels.empty()) {
-        close.conn->close_after_flush = true;
-      }
-      deliver = true;
-    }
-  }
-  if (deliver) {
-    // Only the owning loop touches the socket: hand it the flush.
-    Loop& loop = *loops_[close.conn->loop];
-    {
-      std::lock_guard<std::mutex> loop_lock(loop.mutex);
-      loop.flush_inbox.push_back(close.conn);
-    }
-    WakeLoop(close.conn->loop);
-  }
-}
-
 // --- shared ordinal bookkeeping --------------------------------------------
 
 Status ReportServer::RegisterOrdinal(uint64_t ordinal) {
@@ -1276,22 +1086,10 @@ Status ReportServer::RegisterOrdinal(uint64_t ordinal) {
   return Status::OK();
 }
 
-void ReportServer::FinishOrdinal(uint64_t ordinal) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    active_ordinals_.erase(ordinal);
-    if (options_.expected_shards > 0) {
-      // An abandoned ordinal counts as finished too: the barrier must not
-      // wedge the campaign on a reporter that died (its shard is simply
-      // missing, exactly as a missing file would be).
-      done_ordinals_.insert(ordinal);
-      while (merge_frontier_ < options_.expected_shards &&
-             done_ordinals_.count(merge_frontier_) != 0) {
-        ++merge_frontier_;
-      }
-    }
-  }
-  merge_cv_.notify_all();
+void ReportServer::FinishOrdinal(uint64_t ordinal, bool closed) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  active_ordinals_.erase(ordinal);
+  if (closed && options_.expected_shards > 0) done_ordinals_.insert(ordinal);
 }
 
 void ReportServer::CountProtocolError() {

@@ -24,28 +24,23 @@
 // sharding across connections is charged ε once per epoch. Tag
 // verification is HELLO-only: the DATA hot path is untouched.
 //
-// Determinism: closed shards merge in ascending HELLO *ordinal* order, not
-// connection-completion order (floating-point accumulation makes merge
-// order observable). With Options::expected_shards = N this is a strict
-// barrier over ordinals 0..N-1 — the session is bit-identical to the
+// Determinism: every aggregate is an exact integer sum (core/fixed_point.h),
+// so merges are associative and commutative. A closed shard merges as soon
+// as its CLOSE_SHARD arrives, and the session is bit-identical to the
 // file-based `ldp_aggregate shard-0 ... shard-N-1` run and to the
-// in-process Pipeline::Collect run, no matter when each connection arrives
-// or finishes — the property the net e2e tests and CI pin down. In ad hoc
-// mode (expected_shards = 0) the ordering covers shards open concurrently;
-// a smaller ordinal that connects only after a larger one already closed
-// merges late.
+// in-process Pipeline::Collect run for any arrival and completion order —
+// late connectors, reverse-order closes and reporters that die mid-campaign
+// included. The net e2e tests and CI pin this down.
 //
-// Threading: loop threads never block on the merge barrier — a CLOSE_SHARD
-// whose turn has not come is handed to a dedicated merge-scheduler thread
-// (otherwise ordinal k's close could deadlock waiting for ordinal j served
-// by the same loop). The scheduler claims turns in barrier order, performs
-// the WAL close + session merge, and queues the SHARD_CLOSED reply back to
-// the owning loop; replies to other channels on that connection keep
-// flowing meanwhile. The ServerSession surface is thread-safe (PR 4), so
-// loops feed disjoint shards without further coordination. One caveat
-// versus the old thread-per-connection design: a shard held at Feed's
-// backpressure bound stalls its whole loop (bounded by the ingest pool's
-// drain rate), not just its own connection.
+// Threading: everything about a connection happens on its owning loop
+// thread, CLOSE_SHARD included — WAL close record, session merge, and the
+// SHARD_CLOSED reply. A close never waits on another shard, so no loop can
+// deadlock on another. The ServerSession surface is thread-safe, so loops
+// feed and close disjoint shards without further coordination. One caveat
+// versus a thread-per-connection design: a shard held at Feed's
+// backpressure bound, or draining its backlog at close, stalls its whole
+// loop (bounded by the ingest pool's drain rate), not just its own
+// connection.
 
 #ifndef LDP_NET_REPORT_SERVER_H_
 #define LDP_NET_REPORT_SERVER_H_
@@ -80,10 +75,8 @@ namespace ldp::net {
 /// *before* the corresponding session call, so a crash after the callback
 /// loses nothing the reporter was told about. relay::FrameWal implements
 /// this; net/ sees only the interface, keeping the dependency pointed
-/// relay -> net. OnShardOpen/OnShardData run on loop threads (one shard is
-/// only ever touched by its owning loop); OnShardClose/OnShardAbandon may
-/// run on the merge scheduler — implementations serialize per shard
-/// themselves (distinct shards never share a callback).
+/// relay -> net. Every callback runs on the shard's owning loop thread;
+/// different loops call concurrently for distinct shards.
 class ShardDurabilityHook {
  public:
   virtual ~ShardDurabilityHook() = default;
@@ -97,9 +90,8 @@ class ShardDurabilityHook {
                            const std::string& header_bytes) = 0;
   /// An accepted DATA payload, about to be fed to the session.
   virtual void OnShardData(size_t shard, const char* data, size_t size) = 0;
-  /// Called inside the shard's merge turn, immediately before the session
-  /// close — the close record's sequence is the exact merge order a replay
-  /// must reproduce.
+  /// Called immediately before the session close. Merges are exact, so a
+  /// replay closes the logged shards in any order.
   virtual void OnShardClose(size_t shard) = 0;
   /// The shard was dropped (disconnect, timeout, poison, shutdown).
   virtual void OnShardAbandon(size_t shard) = 0;
@@ -124,30 +116,21 @@ struct ReportServerOptions {
   /// message, or sits idle between messages this long (0 = wait forever).
   /// The budget covers a whole prefix or payload — partial reads do not
   /// reset it — which is what bounds slow-loris reporters trickling bytes.
-  /// A connection whose channels are all awaiting their SHARD_CLOSED
-  /// verdict is exempt: that wait belongs to the merge scheduler and is
-  /// bounded by merge_turn_timeout_ms, which may legitimately exceed this.
   /// Even at 0, a teardown's goodbye flush stays bounded by a fixed grace
   /// so Stop(drain) cannot hang on a peer that never reads its verdict.
   int idle_timeout_ms = 30000;
-  /// When nonzero, the campaign's fleet size: every epoch expects shards
-  /// with ordinals exactly 0..expected_shards-1, and ordinal k's merge
-  /// waits until every smaller ordinal has merged or abandoned — a strict
-  /// barrier, so the session is bit-identical to the ordinal-ordered file
-  /// run even when a smaller ordinal connects long after a larger one
-  /// closed. At 0 (ad hoc), merges are ordered only among shards open
-  /// concurrently: a late-connecting smaller ordinal may merge after an
-  /// earlier-closing larger one.
+  /// When nonzero, the campaign's fleet size: a HELLO must name an ordinal
+  /// in 0..expected_shards-1, and an ordinal whose shard already closed
+  /// this epoch is refused as a duplicate (an abandoned or refused ordinal
+  /// may stream again). It never delays a merge — merges are exact, so
+  /// the session is the same whatever order shards close in. At 0 (ad
+  /// hoc), only an ordinal that is still streaming is refused.
   uint64_t expected_shards = 0;
-  /// Bound on how long a CLOSE_SHARD may wait for its merge turn before
-  /// the shard is abandoned (0 = wait forever). Guards against a campaign
-  /// whose predecessor ordinal never arrives — e.g. a dead reporter.
-  int merge_turn_timeout_ms = 120000;
-  /// Optional telemetry (obs/metrics.h): connection/HELLO/shard counters,
-  /// DATA read and merge-barrier latency histograms. Typically the same
-  /// registry the session reports through. Must outlive the server.
+  /// Optional telemetry (obs/metrics.h): connection/HELLO/shard counters
+  /// and the DATA read latency histogram. Typically the same registry the
+  /// session reports through. Must outlive the server.
   obs::MetricsRegistry* metrics = nullptr;
-  /// Optional campaign event journal: HELLO accept/refuse and merge-barrier
+  /// Optional campaign event journal: HELLO accept/refuse and merge
   /// enter/exit events (the session journals shard lifecycle itself).
   obs::EventJournal* journal = nullptr;
   /// Accept SNAPSHOT messages from downstream relay nodes (a root or
@@ -170,9 +153,9 @@ struct ReportServerOptions {
   /// HELLO and the whole map is dropped on epoch advance (a new epoch has
   /// no pre-crash shards).
   std::unordered_map<uint64_t, ResumedShard> resume_shards;
-  /// Ordinals a WAL replay already closed into the current epoch: they seed
-  /// the expected-shards barrier as done, so the frontier starts past them
-  /// and a re-HELLO for one is refused as a duplicate.
+  /// Ordinals a WAL replay already closed into the current epoch: with
+  /// expected_shards set they seed the closed-ordinal set, so a re-HELLO
+  /// for one is refused as a duplicate.
   std::set<uint64_t> completed_ordinals;
 };
 
@@ -223,8 +206,8 @@ class ReportServer {
   ReportServerStats stats() const;
 
   /// Merges the retained relay snapshots (highest seq per node) into the
-  /// session in ascending node-id order — the deterministic fold that makes
-  /// a two-tier campaign reproduce the tree-shaped file run bit for bit.
+  /// session. Merges are exact, so a two-tier campaign reproduces the
+  /// tree-shaped file run bit for bit.
   /// Call after Stop(drain): no connection is racing the session. A
   /// malformed snapshot mutates nothing (the session stages before
   /// committing); folding continues past it and the first error is
@@ -238,11 +221,6 @@ class ReportServer {
   struct ChannelState {
     size_t shard = 0;
     uint64_t ordinal = 0;
-    /// CLOSE_SHARD received: the channel now belongs to the merge
-    /// scheduler. A dying connection abandons only its non-closing
-    /// channels — a close in flight completes (the reply just goes
-    /// nowhere), exactly as a blocking close used to survive its peer.
-    bool closing = false;
     /// Cumulative post-header bytes fed on this channel instance (the
     /// DATA_ACK watermark). Starts at 0 even for resumed shards: the
     /// client windows what *it* sent since the resume.
@@ -252,8 +230,8 @@ class ReportServer {
   enum class ReadPhase : uint8_t { kPrefix, kPayload };
 
   /// One connection. Read-path fields are touched only by the owning loop
-  /// thread; `mutex` guards the fields shared with the merge scheduler and
-  /// Stop (channels, outbuf, flags).
+  /// thread; `mutex` guards the fields Stop also reads (channels, outbuf,
+  /// flags).
   struct Conn {
     Socket socket;
     size_t loop = 0;
@@ -280,17 +258,17 @@ class ReportServer {
     std::map<uint32_t, uint64_t> pending_acks;
     bool want_write = false;  ///< Poller currently watching writability.
 
-    // --- shared with scheduler / Stop (guarded by mutex) ----------------
+    // --- shared with Stop (guarded by mutex) ----------------------------
     std::mutex mutex;
     std::unordered_map<uint32_t, ChannelState> channels;
     std::string outbuf;
     size_t outbuf_sent = 0;
     bool close_after_flush = false;
-    bool dead = false;  ///< Torn down; late scheduler replies are dropped.
+    bool dead = false;  ///< Torn down; queued replies are dropped.
   };
 
   /// One event-loop thread's state. `conns` is owned by the loop thread;
-  /// `mutex` guards only the two inboxes other threads push into.
+  /// `mutex` guards only the inbox the acceptor pushes into.
   struct Loop {
     Poller poller;
     int wake_read = -1;
@@ -299,20 +277,7 @@ class ReportServer {
     std::unordered_map<int, std::shared_ptr<Conn>> conns;
     std::mutex mutex;
     std::vector<std::shared_ptr<Conn>> adopt_inbox;  ///< Newly accepted.
-    std::vector<std::shared_ptr<Conn>> flush_inbox;  ///< Scheduler replies.
     bool woken = false;  // coalesces wake-pipe writes
-  };
-
-  /// A CLOSE_SHARD waiting for its merge turn, keyed by ordinal in the
-  /// scheduler's map.
-  struct PendingClose {
-    std::shared_ptr<Conn> conn;
-    uint32_t channel = 0;
-    size_t shard = 0;
-    uint64_t ordinal = 0;
-    uint64_t enqueued_ns = 0;
-    SteadyTime deadline{};
-    bool has_deadline = false;
   };
 
   ReportServer(api::ServerSession* session, stream::StreamHeader expected,
@@ -331,6 +296,9 @@ class ReportServer {
   /// was poisoned or torn down.
   bool DispatchMessage(Loop& loop, const std::shared_ptr<Conn>& conn);
   bool HandleHello(Loop& loop, const std::shared_ptr<Conn>& conn);
+  /// CLOSE_SHARD: WAL close, session merge, stats and journal, then the
+  /// SHARD_CLOSED reply — all inline on the owning loop.
+  bool HandleCloseShard(Loop& loop, const std::shared_ptr<Conn>& conn);
   bool HandleSnapshot(Loop& loop, const std::shared_ptr<Conn>& conn);
   /// End-of-stream / recv-fault / reap handling (see the protocol-error
   /// accounting rules in the .cc).
@@ -340,11 +308,10 @@ class ReportServer {
   /// protocol error if none was open, and flags close-after-flush.
   void PoisonConn(Loop& loop, const std::shared_ptr<Conn>& conn,
                   const Status& verdict, bool count_always);
-  /// Abandons every non-closing channel; returns how many channels (of any
-  /// kind) were present before.
+  /// Abandons every open channel; returns how many there were.
   size_t AbandonConnChannels(const std::shared_ptr<Conn>& conn);
   /// Unregisters and closes the connection. Channels must already be
-  /// abandoned or scheduler-owned.
+  /// abandoned.
   void DestroyConn(Loop& loop, const std::shared_ptr<Conn>& conn);
   /// Sends as much of the outbuf as the socket takes; manages write
   /// interest and close-after-flush teardown.
@@ -357,19 +324,12 @@ class ReportServer {
   void FlushPendingAcks(const std::shared_ptr<Conn>& conn);
   void ArmDeadline(const std::shared_ptr<Conn>& conn);
 
-  // --- merge scheduler -------------------------------------------------
-  void SchedulerMain();
-  /// Completes one pending close: merge (got_turn) or abandon; stats,
-  /// journal, and the SHARD_CLOSED reply routed to the owning loop.
-  void CompleteClose(PendingClose close, bool got_turn, bool stopping);
-
   /// Validates and claims `ordinal` for a new shard (bounds and duplicate
   /// checks; see Options::expected_shards).
   Status RegisterOrdinal(uint64_t ordinal);
-  /// Marks `ordinal` finished (merged or abandoned): removes it from the
-  /// active set, advances the expected-shards frontier, wakes the
-  /// scheduler.
-  void FinishOrdinal(uint64_t ordinal);
+  /// Releases `ordinal` from the streaming set. A `closed` ordinal joins
+  /// the expected-shards duplicate set; an abandoned one may stream again.
+  void FinishOrdinal(uint64_t ordinal, bool closed);
   void CountProtocolError();
   void CountAbandoned();
 
@@ -380,27 +340,17 @@ class ReportServer {
 
   Listener listener_;
   std::vector<std::unique_ptr<Loop>> loops_;
-  std::thread scheduler_;
   size_t rr_next_ = 0;  // round-robin loop assignment (loop 0 thread only)
 
   mutable std::mutex mutex_;
-  /// Scheduler wake: a close enqueued, an ordinal finished, or stopping.
-  std::condition_variable merge_cv_;
-  /// CLOSE_SHARDs waiting for their merge turn, keyed by ordinal (an
-  /// ordinal is active until finished, so keys are unique).
-  std::map<uint64_t, PendingClose> pending_closes_;
-  /// Ordinals of open shards; in ad hoc mode the smallest holds the turn.
+  /// Ordinals of open shards: a second HELLO for one is refused.
   std::set<uint64_t> active_ordinals_;
-  /// Expected-shards mode only: ordinals finished (merged or abandoned)
-  /// in the current epoch, and the barrier frontier — the smallest ordinal
-  /// not yet finished, i.e. the one holding the merge turn. Both reset
-  /// when the epoch advances.
+  /// Expected-shards mode only: ordinals whose shard closed in the current
+  /// epoch. Reset when the epoch advances.
   std::set<uint64_t> done_ordinals_;
-  uint64_t merge_frontier_ = 0;
   /// Replay-resumable shards not yet claimed by a HELLO (see Options).
   std::unordered_map<uint64_t, ResumedShard> resume_shards_;
-  /// The latest snapshot accepted from each relay node. An ordered map so
-  /// FoldRelaySnapshots walks nodes in ascending id order.
+  /// The latest snapshot accepted from each relay node.
   struct PendingSnapshot {
     uint64_t seq = 0;
     uint32_t epoch = 0;
@@ -414,9 +364,7 @@ class ReportServer {
   ReportServerStats stats_;
   std::condition_variable stopped_cv_;  // signalled when a Stop completes
   bool stop_accepting_ = false;
-  bool hard_stop_ = false;
-  bool scheduler_exit_ = false;  // loops joined; drain the queue and leave
-  bool stopped_ = false;         // Stop already ran (threads joined)
+  bool stopped_ = false;  // Stop already ran (threads joined)
 };
 
 }  // namespace ldp::net

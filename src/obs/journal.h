@@ -1,5 +1,5 @@
 // Bounded ring-buffer campaign event journal. Control-plane events — shard
-// lifecycle, HELLO accept/refuse, epoch advance, merge-barrier enter/exit,
+// lifecycle, HELLO accept/refuse, epoch advance, merge enter/exit,
 // accountant refusals — are rare (per shard / per epoch, never per report),
 // so a mutex-protected ring is plenty; the data path never records events.
 // Each event carries both a wall-clock timestamp (for correlating with
@@ -42,7 +42,7 @@ enum class EventKind : uint8_t {
 const char* EventKindToString(EventKind kind);
 
 /// One journaled event. `a` and `b` are kind-specific small integers:
-/// shard events carry (shard, epoch), HELLO and merge-barrier events carry
+/// shard events carry (shard, epoch), HELLO and merge events carry
 /// (ordinal, 0), epoch events carry (epoch, 0).
 struct Event {
   EventKind kind = EventKind::kShardOpen;

@@ -290,8 +290,6 @@ NetServerMetrics NetServerMetrics::ForRegistry(MetricsRegistry* registry) {
   metrics.snapshots_refused =
       registry->GetCounter("ldp_net_snapshots_refused_total");
   metrics.data_read_us = registry->GetHistogram("ldp_net_data_read_us");
-  metrics.merge_barrier_wait_us =
-      registry->GetHistogram("ldp_net_merge_barrier_wait_us");
   return metrics;
 }
 

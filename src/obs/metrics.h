@@ -277,8 +277,6 @@ struct NetServerMetrics {
   Counter* snapshots_refused = nullptr;
   ///< ldp_net_snapshots_refused_total
   Histogram* data_read_us = nullptr;   ///< ldp_net_data_read_us
-  Histogram* merge_barrier_wait_us = nullptr;
-  ///< ldp_net_merge_barrier_wait_us
   bool enabled() const { return connections != nullptr; }
   static NetServerMetrics ForRegistry(MetricsRegistry* registry);
 };

@@ -81,7 +81,6 @@ struct Instance {
   std::vector<std::string> chunks;  // DATA payloads, in append order
   uint64_t data_bytes = 0;
   bool closed = false;
-  uint64_t close_seq = 0;
   bool abandoned = false;
   bool corrupt = false;
   // Set by ReplayInstances when this instance became a resumed shard; the
@@ -89,7 +88,7 @@ struct Instance {
   bool resumed = false;
   size_t session_shard = 0;
 
-  // Feed-order key; close order uses close_seq instead.
+  // Replay order: directory order by (epoch, ordinal, generation).
   std::tuple<uint32_t, uint64_t, uint32_t> key() const {
     return {epoch, ordinal, generation};
   }
@@ -179,12 +178,11 @@ Status ReadInstance(const std::string& path, bool truncate,
         instance->data_bytes += length;
         break;
       case WalRecordType::kClose:
-        if (length != 8) {
+        if (length != 0) {
           instance->corrupt = true;
           return Status::OK();
         }
         instance->closed = true;
-        instance->close_seq = LoadLe64(payload);
         break;
       case WalRecordType::kAbandon:
         instance->abandoned = true;
@@ -252,10 +250,10 @@ Status ScanWalDir(const std::string& dir, bool truncate,
   return Status::OK();
 }
 
-// Feeds the scanned instances back into a fresh session, reproducing the
-// pre-crash merge order exactly. See the header comment for the rules;
-// `max_close_seq` (optional) reports the largest replayed close sequence
-// so continued appends keep the counter monotone.
+// Feeds the scanned instances back into a fresh session in directory order,
+// closing each logged-closed shard as soon as its bytes are fed: merges are
+// exact, so the replayed session matches the live one whatever order the
+// live run closed shards in. See the header comment for the rules.
 //
 // One deliberate gap: epoch advances are implied by shard files, so an
 // ADVANCE_EPOCH the crash interrupted before any shard opened in the new
@@ -263,8 +261,7 @@ Status ScanWalDir(const std::string& dir, bool truncate,
 Status ReplayInstances(std::vector<Instance>* instances,
                        api::ServerSession* session,
                        const stream::StreamHeader* expected,
-                       obs::EventJournal* journal, WalReplaySummary* summary,
-                       uint64_t* max_close_seq) {
+                       obs::EventJournal* journal, WalReplaySummary* summary) {
   uint32_t final_epoch = 0;
   for (const Instance& instance : *instances) {
     final_epoch = std::max(final_epoch, instance.epoch);
@@ -279,110 +276,77 @@ Status ReplayInstances(std::vector<Instance>* instances,
     slot = std::max(slot, instance.generation);
   }
 
-  struct Fed {
-    const Instance* instance;
-    size_t shard;
+  const auto poisoned = [&](const Instance& instance) {
+    ++summary->shards_corrupt;
+    if (journal != nullptr) {
+      journal->Record(obs::EventKind::kWalCorrupt, instance.ordinal,
+                      instance.epoch);
+    }
   };
-  size_t index = 0;
-  while (index < instances->size()) {
-    const uint32_t epoch = (*instances)[index].epoch;
-    while (session->current_epoch() < epoch) {
+  for (Instance& instance : *instances) {
+    while (session->current_epoch() < instance.epoch) {
       LDP_RETURN_IF_ERROR(session->AdvanceEpoch());
     }
-    std::vector<Fed> closed;
-    for (; index < instances->size() && (*instances)[index].epoch == epoch;
-         ++index) {
-      Instance& instance = (*instances)[index];
-      if (instance.corrupt) {
-        ++summary->shards_corrupt;
-        if (journal != nullptr) {
-          journal->Record(obs::EventKind::kWalCorrupt, instance.ordinal,
-                          instance.epoch);
-        }
+    if (instance.corrupt) {
+      poisoned(instance);
+      continue;
+    }
+    if (instance.abandoned || instance.header_bytes.empty()) continue;
+    const bool is_resume =
+        !instance.closed && instance.epoch == final_epoch &&
+        instance.generation ==
+            highest_generation[{instance.epoch, instance.ordinal}];
+    if (!instance.closed && !is_resume) continue;  // implicitly abandoned
+    if (expected != nullptr) {
+      Result<stream::StreamHeader> peer =
+          stream::DecodeStreamHeader(instance.header_bytes);
+      const Status compatible =
+          peer.ok() ? stream::CheckHeadersCompatible(*expected, peer.value())
+                    : peer.status();
+      if (!compatible.ok()) {
+        poisoned(instance);
         continue;
-      }
-      if (instance.abandoned || instance.header_bytes.empty()) continue;
-      const bool is_resume =
-          !instance.closed && epoch == final_epoch &&
-          instance.generation ==
-              highest_generation[{instance.epoch, instance.ordinal}];
-      if (!instance.closed && !is_resume) continue;  // implicitly abandoned
-      if (expected != nullptr) {
-        Result<stream::StreamHeader> peer =
-            stream::DecodeStreamHeader(instance.header_bytes);
-        const Status compatible =
-            peer.ok() ? stream::CheckHeadersCompatible(*expected, peer.value())
-                      : peer.status();
-        if (!compatible.ok()) {
-          ++summary->shards_corrupt;
-          if (journal != nullptr) {
-            journal->Record(obs::EventKind::kWalCorrupt, instance.ordinal,
-                            instance.epoch);
-          }
-          continue;
-        }
-      }
-      // Re-opening restores the reporter's idempotent per-epoch charge; a
-      // refusal here means the log asks for spend the budget cannot cover
-      // (tampering, or a mismatched session) — poison that shard alone.
-      Result<size_t> opened = session->OpenShard(instance.reporter_id);
-      if (!opened.ok()) {
-        ++summary->shards_corrupt;
-        if (journal != nullptr) {
-          journal->Record(obs::EventKind::kWalCorrupt, instance.ordinal,
-                          instance.epoch);
-        }
-        continue;
-      }
-      const size_t shard = opened.value();
-      Status fed = session->Feed(shard, instance.header_bytes);
-      for (const std::string& chunk : instance.chunks) {
-        if (!fed.ok()) break;
-        fed = session->Feed(shard, chunk.data(), chunk.size());
-        ++summary->frames_replayed;
-        summary->bytes_replayed += chunk.size();
-      }
-      if (!fed.ok() && !instance.closed) {
-        // The crash interrupted a stream that was already poisoning its
-        // shard; the live path would have abandoned it.
-        (void)session->AbandonShard(shard);
-        ++summary->shards_corrupt;
-        if (journal != nullptr) {
-          journal->Record(obs::EventKind::kWalCorrupt, instance.ordinal,
-                          instance.epoch);
-        }
-        continue;
-      }
-      if (instance.closed) {
-        closed.push_back({&instance, shard});
-      } else {
-        summary->resume_shards[instance.ordinal] =
-            net::ResumedShard{shard, instance.data_bytes};
-        instance.resumed = true;
-        instance.session_shard = shard;
-        ++summary->shards_resumed;
       }
     }
-    // Close in the exact order the merge barrier chose pre-crash — the
-    // step that keeps the replayed session bit-identical.
-    std::sort(closed.begin(), closed.end(), [](const Fed& a, const Fed& b) {
-      return a.instance->close_seq < b.instance->close_seq;
-    });
-    for (const Fed& fed : closed) {
+    // Re-opening restores the reporter's idempotent per-epoch charge; a
+    // refusal here means the log asks for spend the budget cannot cover
+    // (tampering, or a mismatched session) — poison that shard alone.
+    Result<size_t> opened = session->OpenShard(instance.reporter_id);
+    if (!opened.ok()) {
+      poisoned(instance);
+      continue;
+    }
+    const size_t shard = opened.value();
+    Status fed = session->Feed(shard, instance.header_bytes);
+    for (const std::string& chunk : instance.chunks) {
+      if (!fed.ok()) break;
+      fed = session->Feed(shard, chunk.data(), chunk.size());
+      ++summary->frames_replayed;
+      summary->bytes_replayed += chunk.size();
+    }
+    if (instance.closed) {
       // A shard the original run closed as discarded replays as discarded:
       // same bytes, same verdict. The status is not an error here.
-      (void)session->CloseShard(fed.shard);
+      (void)session->CloseShard(shard);
       ++summary->shards_replayed;
-      if (max_close_seq != nullptr) {
-        *max_close_seq = std::max(*max_close_seq, fed.instance->close_seq);
-      }
-      if (epoch == final_epoch) {
-        summary->completed_ordinals.insert(fed.instance->ordinal);
+      if (instance.epoch == final_epoch) {
+        summary->completed_ordinals.insert(instance.ordinal);
       }
       if (journal != nullptr) {
-        journal->Record(obs::EventKind::kWalReplay, fed.instance->ordinal,
-                        epoch);
+        journal->Record(obs::EventKind::kWalReplay, instance.ordinal,
+                        instance.epoch);
       }
+    } else if (!fed.ok()) {
+      // The crash interrupted a stream that was already poisoning its
+      // shard; the live path would have abandoned it.
+      (void)session->AbandonShard(shard);
+      poisoned(instance);
+    } else {
+      summary->resume_shards[instance.ordinal] =
+          net::ResumedShard{shard, instance.data_bytes};
+      instance.resumed = true;
+      instance.session_shard = shard;
+      ++summary->shards_resumed;
     }
   }
   return Status::OK();
@@ -419,8 +383,7 @@ Status ReplayWalDir(const std::string& dir, api::ServerSession* session,
   std::vector<Instance> instances;
   LDP_RETURN_IF_ERROR(ScanWalDir(dir, /*truncate=*/true, &instances,
                                  summary));
-  return ReplayInstances(&instances, session, expected, journal, summary,
-                         nullptr);
+  return ReplayInstances(&instances, session, expected, journal, summary);
 }
 
 Result<WalDirPeek> PeekWalDir(const std::string& dir) {
@@ -466,12 +429,9 @@ Result<std::unique_ptr<FrameWal>> FrameWal::Open(const std::string& dir,
   std::vector<Instance> instances;
   LDP_RETURN_IF_ERROR(ScanWalDir(dir, /*truncate=*/true, &instances,
                                  summary));
-  uint64_t max_close_seq = 0;
   LDP_RETURN_IF_ERROR(ReplayInstances(&instances, session, options.expected,
-                                      options.journal, summary,
-                                      &max_close_seq));
+                                      options.journal, summary));
   std::unique_ptr<FrameWal> wal(new FrameWal(dir, options));
-  wal->next_close_seq_ = summary->shards_replayed > 0 ? max_close_seq + 1 : 0;
   for (const Instance& instance : instances) {
     auto& slot = wal->next_generation_[{instance.epoch, instance.ordinal}];
     slot = std::max(slot, instance.generation + 1);
@@ -572,10 +532,7 @@ void FrameWal::OnShardClose(size_t shard) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = fds_.find(shard);
   if (it == fds_.end()) return;
-  std::string payload;
-  PutLe64(&payload, next_close_seq_++);
-  AppendRecord(it->second, WalRecordType::kClose, payload.data(),
-               payload.size());
+  AppendRecord(it->second, WalRecordType::kClose, nullptr, 0);
   ::close(it->second);
   fds_.erase(it);
 }

@@ -5,9 +5,9 @@
 // crashed collector cannot ask devices to "just run the campaign again" —
 // it must reconstruct exactly the state it had acknowledged. The inputs it
 // acknowledged are bytes: the validated HELLO header and the accepted DATA
-// payloads of each shard, plus the order shards merged in. So the WAL
-// journals exactly those, upstream of ServerSession::Feed, one log file per
-// shard attempt:
+// payloads of each shard, plus which shards closed. So the WAL journals
+// exactly those, upstream of ServerSession::Feed, one log file per shard
+// attempt:
 //
 //   wal-e<epoch>-o<ordinal>-g<generation>.ldpw
 //     u32 magic 'LDPW', u16 version, u32 epoch, u64 ordinal        (header)
@@ -16,7 +16,7 @@
 //       type 1  shard open: u16 reporter-id length, the reporter id, then
 //               the stream-header bytes (the HELLO header)
 //       type 2  accepted DATA payload (one record per DATA message)
-//       type 3  close, payload = u64 close_seq (global merge order)
+//       type 3  close (empty payload)
 //       type 4  abandon (the shard contributed nothing)
 //
 // The reporter id rides in the log because replay must restore the
@@ -25,9 +25,10 @@
 // makes replay-after-replay exact rather than double-spending.
 //
 // `generation` disambiguates ordinal reuse (ad hoc mode may stream the
-// same ordinal several times per epoch); `close_seq` is a single counter
-// across the whole log so replay can reproduce the exact merge order the
-// barrier chose, which is what keeps the replayed session bit-identical.
+// same ordinal several times per epoch). The log records no merge order:
+// merges are exact integer sums (core/fixed_point.h), so replay closes the
+// logged shards in directory order and the replayed session is still
+// bit-identical to the live one.
 //
 // Replay (FrameWal::Open on a non-empty directory) distinguishes two kinds
 // of damage:
@@ -76,9 +77,10 @@ uint32_t Crc32(const void* data, size_t size, uint32_t seed = 0);
 
 /// 'LDPW' little-endian.
 inline constexpr uint32_t kWalMagic = 0x5750444cu;
-/// Version 2 prefixes the kHeader record with the reporter id. Only version
-/// 2 replays; a file of any other version counts as corrupt.
-inline constexpr uint16_t kWalVersion = 2;
+/// Version 3 drops version 2's close sequence number; both prefix the
+/// kHeader record with the reporter id. Only version 3 replays; a file of
+/// any other version counts as corrupt.
+inline constexpr uint16_t kWalVersion = 3;
 
 /// u8 type + u32 len + u32 crc.
 inline constexpr size_t kWalRecordHeaderBytes = 9;
@@ -185,9 +187,6 @@ class FrameWal : public net::ShardDurabilityHook {
   std::unordered_map<size_t, int> fds_;
   /// Next generation per (epoch, ordinal) — continues past replayed files.
   std::map<std::pair<uint32_t, uint64_t>, uint32_t> next_generation_;
-  /// Global close counter; replay closes in this order. Seeded past the
-  /// largest replayed close_seq.
-  uint64_t next_close_seq_ = 0;
 };
 
 }  // namespace ldp::relay

@@ -122,7 +122,7 @@ class ShardIngester {
   const AggregatorHandle& handle() const { return *handle_; }
 
   /// Transfers the aggregate out of the ingester (for shard drivers that
-  /// reduce handles in order). The ingester must not be fed afterwards.
+  /// reduce handles themselves). The ingester must not be fed afterwards.
   std::unique_ptr<AggregatorHandle> ReleaseHandle() {
     return std::move(handle_);
   }

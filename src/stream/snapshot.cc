@@ -17,6 +17,21 @@ using internal_wire::PutU64;
 using internal_wire::PutU8;
 using internal_wire::Reader;
 
+// A FixedPointSum as two's-complement i128: low u64, then high u64.
+void PutSum(std::string* out, FixedPointSum sum) {
+  const __uint128_t bits = static_cast<__uint128_t>(sum);
+  PutU64(out, static_cast<uint64_t>(bits));
+  PutU64(out, static_cast<uint64_t>(bits >> 64));
+}
+
+Result<FixedPointSum> ReadSum(Reader* reader) {
+  uint64_t low = 0, high = 0;
+  LDP_ASSIGN_OR_RETURN(low, reader->U64());
+  LDP_ASSIGN_OR_RETURN(high, reader->U64());
+  return static_cast<FixedPointSum>((static_cast<__uint128_t>(high) << 64) |
+                                    low);
+}
+
 // Parses and validates the fixed-size preamble of either snapshot kind,
 // leaving `reader` positioned at num_reports.
 Result<SnapshotConfig> ReadConfig(Reader* reader) {
@@ -70,10 +85,10 @@ std::string EncodeAggregatorSnapshot(const MixedAggregator& aggregator) {
   PutU64(&out, aggregator.num_reports());
   for (uint32_t j = 0; j < d; ++j) {
     PutU64(&out, aggregator.attribute_report_counts()[j]);
-    PutF64(&out, aggregator.numeric_sums()[j]);
-    const std::vector<double>& support = aggregator.supports()[j];
+    PutSum(&out, aggregator.numeric_sums()[j]);
+    const std::vector<uint64_t>& support = aggregator.supports()[j];
     PutU32(&out, static_cast<uint32_t>(support.size()));
-    for (const double s : support) PutF64(&out, s);
+    for (const uint64_t s : support) PutU64(&out, s);
   }
   return out;
 }
@@ -104,11 +119,11 @@ Result<MixedAggregator> DecodeAggregatorSnapshot(
   uint64_t num_reports = 0;
   LDP_ASSIGN_OR_RETURN(num_reports, reader.U64());
   std::vector<uint64_t> attribute_reports(dimension, 0);
-  std::vector<double> numeric_sums(dimension, 0.0);
-  std::vector<std::vector<double>> supports(dimension);
+  std::vector<FixedPointSum> numeric_sums(dimension, 0);
+  std::vector<std::vector<uint64_t>> supports(dimension);
   for (uint32_t j = 0; j < dimension; ++j) {
     LDP_ASSIGN_OR_RETURN(attribute_reports[j], reader.U64());
-    LDP_ASSIGN_OR_RETURN(numeric_sums[j], reader.F64());
+    LDP_ASSIGN_OR_RETURN(numeric_sums[j], ReadSum(&reader));
     uint32_t support_count = 0;
     LDP_ASSIGN_OR_RETURN(support_count, reader.U32());
     const MixedAttribute& spec = collector->schema()[j];
@@ -120,7 +135,7 @@ Result<MixedAggregator> DecodeAggregatorSnapshot(
     }
     supports[j].resize(support_count);
     for (uint32_t v = 0; v < support_count; ++v) {
-      LDP_ASSIGN_OR_RETURN(supports[j][v], reader.F64());
+      LDP_ASSIGN_OR_RETURN(supports[j][v], reader.U64());
     }
   }
   if (!reader.AtEnd()) {
@@ -149,7 +164,7 @@ std::string EncodeNumericAggregatorSnapshot(const NumericAggregator& aggregator,
   PutU64(&out, aggregator.num_reports());
   for (uint32_t j = 0; j < d; ++j) {
     PutU64(&out, aggregator.attribute_report_counts()[j]);
-    PutF64(&out, aggregator.sums()[j]);
+    PutSum(&out, aggregator.sums()[j]);
   }
   return out;
 }
@@ -179,10 +194,10 @@ Result<NumericAggregator> DecodeNumericAggregatorSnapshot(
   uint64_t num_reports = 0;
   LDP_ASSIGN_OR_RETURN(num_reports, reader.U64());
   std::vector<uint64_t> attribute_reports(dimension, 0);
-  std::vector<double> sums(dimension, 0.0);
+  std::vector<FixedPointSum> sums(dimension, 0);
   for (uint32_t j = 0; j < dimension; ++j) {
     LDP_ASSIGN_OR_RETURN(attribute_reports[j], reader.U64());
-    LDP_ASSIGN_OR_RETURN(sums[j], reader.F64());
+    LDP_ASSIGN_OR_RETURN(sums[j], ReadSum(&reader));
   }
   if (!reader.AtEnd()) {
     return Status::InvalidArgument("trailing bytes after snapshot");

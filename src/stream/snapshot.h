@@ -2,15 +2,17 @@
 // one shard — report counts, numeric sums, categorical supports — as a
 // validated byte string. Shards aggregated on separate machines ship their
 // snapshots to a reducer, which decodes them against its own collector and
-// folds them together with MixedAggregator::Merge; because the accumulated
-// state is a plain sum, snapshot merging is associative, and reducing shards
-// in a fixed order reproduces the single-process aggregate exactly.
+// folds them together with MixedAggregator::Merge. Every field is an exact
+// integer sum (core/fixed_point.h), so snapshot merging is associative and
+// commutative: reducing shards in any order reproduces the single-process
+// aggregate bit for bit.
 //
 // Layout (all integers little-endian):
 //   u32 magic 'LDPA', u16 version, u8 mechanism, u8 oracle, u64 schema_hash,
 //   f64 epsilon, u32 dimension, u32 k, u64 num_reports, then per attribute:
-//     u64 report_count, f64 numeric_sum,
-//     u32 support_count, f64 support[support_count]
+//     u64 report_count, i128 numeric_sum (fixed point, 32 fraction bits;
+//     low u64 then high u64),
+//     u32 support_count, u64 support[support_count]
 //   (support_count is the categorical domain size; 0 at numeric positions).
 // Mechanism and oracle kinds are carried redundantly with the schema hash so
 // a reducer can reconstruct the collector configuration from a snapshot file
@@ -31,11 +33,11 @@ namespace ldp::stream {
 
 /// 'LDPA' little-endian.
 inline constexpr uint32_t kSnapshotMagic = 0x4150444cu;
-/// 'LDPN' little-endian — Algorithm-4 numeric aggregator snapshots. A
-/// separate magic (rather than a version bump) keeps every byte of the mixed
-/// format, and every file already written in it, exactly as before.
+/// 'LDPN' little-endian — Algorithm-4 numeric aggregator snapshots.
 inline constexpr uint32_t kNumericSnapshotMagic = 0x4e50444cu;
-inline constexpr uint16_t kSnapshotVersion = 1;
+/// Version 2 holds integer sums. Only version 2 is read; version 1 (f64
+/// sums) is refused.
+inline constexpr uint16_t kSnapshotVersion = 2;
 
 /// Serialises `aggregator`'s full state (including the schema hash of the
 /// collector it was built from).
@@ -44,7 +46,8 @@ std::string EncodeAggregatorSnapshot(const MixedAggregator& aggregator);
 /// Parses a snapshot and rebuilds the aggregator against the reducer's
 /// `collector`. Validates the magic, version, schema hash, ε, dimension and
 /// k against the collector, every vector length against the schema, and
-/// rejects truncated or trailing bytes and non-finite sums.
+/// rejects truncated or trailing bytes and sums beyond what the report
+/// counts can reach (MixedAggregator::FromParts).
 Result<MixedAggregator> DecodeAggregatorSnapshot(
     const std::string& bytes, const MixedTupleCollector* collector);
 
@@ -53,7 +56,7 @@ Result<MixedAggregator> DecodeAggregatorSnapshot(
 ///   u32 magic 'LDPN', u16 version, u8 mechanism, u8 oracle (kOue, unused),
 ///   u64 schema_hash,
 ///   f64 epsilon, u32 dimension, u32 k, u64 num_reports, then per attribute:
-///     u64 report_count, f64 sum.
+///     u64 report_count, i128 sum.
 /// `kind` names the scalar mechanism the aggregator's SampledNumericMechanism
 /// was created with (it is not recorded inside the mechanism itself).
 std::string EncodeNumericAggregatorSnapshot(const NumericAggregator& aggregator,
@@ -61,7 +64,7 @@ std::string EncodeNumericAggregatorSnapshot(const NumericAggregator& aggregator,
 
 /// Parses a numeric snapshot and rebuilds the aggregator against the
 /// reducer's `mechanism`/`kind`, with the same validation discipline as the
-/// mixed decoder (schema hash, ε, dimension, k, finiteness, exact length).
+/// mixed decoder (schema hash, ε, dimension, k, sum bounds, exact length).
 Result<NumericAggregator> DecodeNumericAggregatorSnapshot(
     const std::string& bytes, const SampledNumericMechanism* mechanism,
     MechanismKind kind);

@@ -114,9 +114,9 @@ TEST(ApiParityTest, BaselineCollectMatchesDirectSimulationBitForBit) {
     oracles.push_back(std::move(oracle).value());
   }
   aggregate::VectorMeanEstimator means(dn);
-  std::vector<std::vector<double>> supports;
+  std::vector<std::vector<uint64_t>> supports;
   for (const uint32_t col : categorical_columns) {
-    supports.emplace_back(schema.column(col).domain_size, 0.0);
+    supports.emplace_back(schema.column(col).domain_size, 0);
   }
   std::vector<double> numeric_tuple(dn, 0.0);
   for (uint64_t row = 0; row < dataset.num_rows(); ++row) {

@@ -37,7 +37,8 @@ TEST(DebiasSupportCountsTest, InvertsTheSupportExpectation) {
   const double p = 0.7, q = 0.2, f = 0.35;
   const uint64_t n = 10000;
   const double mu = f * p + (1.0 - f) * q;
-  const std::vector<double> support = {mu * n};
+  const std::vector<uint64_t> support = {
+      static_cast<uint64_t>(std::llround(mu * n))};
   const std::vector<double> est =
       internal_frequency::DebiasSupportCounts(support, n, p, q);
   ASSERT_EQ(est.size(), 1u);
@@ -46,7 +47,7 @@ TEST(DebiasSupportCountsTest, InvertsTheSupportExpectation) {
 
 TEST(DebiasSupportCountsTest, ZeroReportsGiveZeroEstimates) {
   const std::vector<double> est =
-      internal_frequency::DebiasSupportCounts({0.0, 0.0}, 0, 0.7, 0.2);
+      internal_frequency::DebiasSupportCounts({0, 0}, 0, 0.7, 0.2);
   EXPECT_EQ(est, (std::vector<double>{0.0, 0.0}));
 }
 

@@ -24,10 +24,11 @@ TEST(HeOracleTest, ReportPacksFullNoisyHistogram) {
   const auto report = oracle.Perturb(2, &rng);
   ASSERT_EQ(report.size(), 5u);
   // Unpacking recovers values near the one-hot vector (within noise).
-  std::vector<double> support(5, 0.0);
+  std::vector<uint64_t> support(5, 0);
   oracle.Accumulate(report, &support);
+  const std::vector<double> unpacked = oracle.Estimate(support, 1);
   for (uint32_t v = 0; v < 5; ++v) {
-    EXPECT_LT(std::abs(support[v] - (v == 2 ? 1.0 : 0.0)), 40.0);
+    EXPECT_LT(std::abs(unpacked[v] - (v == 2 ? 1.0 : 0.0)), 40.0);
   }
 }
 
@@ -37,9 +38,9 @@ TEST(HeOracleTest, FixedPointRoundTripIsTight) {
   Rng rng(2);
   for (int i = 0; i < 200; ++i) {
     const auto report = oracle.Perturb(0, &rng);
-    std::vector<double> support(3, 0.0);
+    std::vector<uint64_t> support(3, 0);
     oracle.Accumulate(report, &support);
-    for (const double value : support) {
+    for (const double value : oracle.Estimate(support, 1)) {
       // Any unpacked value is a multiple of the quantum within rounding.
       const double quantum = 1.0 / HeOracle::kFixedPointScale;
       const double remainder =

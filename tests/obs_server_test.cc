@@ -160,7 +160,7 @@ TEST(ObsServer, ScrapedCountersMatchCampaignExactly) {
   auto scrape = obs::MetricsServer::Start(TcpEphemeral(), &registry, &journal);
   ASSERT_TRUE(scrape.ok()) << scrape.status().ToString();
 
-  // The campaign: kShards honest reporters, sequential (no barrier stalls).
+  // The campaign: kShards honest reporters, one at a time.
   for (size_t s = 0; s < kShards; ++s) {
     auto client = net::CollectorClient::Connect(collector, pipeline.header(),
                                                 /*ordinal=*/s);

@@ -2,8 +2,8 @@
 // net/client.h): loopback campaigns over Unix-domain and TCP sockets must
 // reproduce a directly-fed ServerSession byte for byte — snapshots included
 // — at every session thread count and regardless of which connection
-// finishes first (shards merge in HELLO ordinal order, not completion
-// order). Also covers the multi-epoch conversation (CLOSE → ADVANCE_EPOCH
+// arrives or finishes first (merges are exact integer sums, so their order
+// never shows). Also covers the multi-epoch conversation (CLOSE → ADVANCE_EPOCH
 // → re-HELLO on one connection, down to the accountant's refusal) and
 // hard-stop abandonment.
 
@@ -88,8 +88,8 @@ std::string RunCampaign(const api::Pipeline& pipeline,
   EXPECT_TRUE(session.ok());
   net::ReportServerOptions server_options;
   server_options.acceptors = static_cast<unsigned>(streams.size());
-  // The campaigns race real threads; the expected-shards barrier is what
-  // makes the snapshot-equality assertions deterministic.
+  // The campaigns race real threads; exact merges are what make the
+  // snapshot-equality assertions deterministic.
   server_options.expected_shards = streams.size();
   auto server = net::ReportServer::Start(&session.value(), pipeline.header(),
                                          endpoint, server_options);
@@ -158,9 +158,9 @@ TEST(ReportServerTest, CompletionOrderDoesNotChangeTheSession) {
   const api::Pipeline pipeline = MakeCorpusPipeline(/*numeric=*/false);
   const std::vector<std::string> streams = MakeShardStreams(pipeline, 3);
   const std::string reference = DirectSessionSnapshot(pipeline, streams);
-  // Ordinal 0 asks to close LAST: ordinal 2's CLOSE arrives first and must
-  // wait for its merge turn. Whatever interleaving the scheduler picks,
-  // the session is the ordinal-ordered one.
+  // Ordinal 0 asks to close LAST: ordinal 2's CLOSE arrives first and
+  // merges first. Whatever the interleaving, the session is the
+  // ordinal-ordered one.
   const std::string snapshot =
       RunCampaign(pipeline, TestUdsEndpoint("reverse_close"), streams,
                   /*ingest_threads=*/0, /*stagger_ms=*/{120, 60, 0});
@@ -168,10 +168,9 @@ TEST(ReportServerTest, CompletionOrderDoesNotChangeTheSession) {
 }
 
 TEST(ReportServerTest, ExpectedShardsBarrierHoldsForLateConnectors) {
-  // Ordinal 1 connects, streams, and asks to close BEFORE ordinal 0 has
-  // even connected. In ad hoc mode that would merge shard 1 first; with
-  // expected_shards the close blocks at the barrier until shard 0 — the
-  // late connector — merges, so the session still matches the
+  // Ordinal 1 connects, streams and closes BEFORE ordinal 0 has even
+  // connected. Its close merges at once — there is no barrier to wait at —
+  // and once the late connector lands the session still matches the
   // ordinal-ordered reference bit for bit.
   const api::Pipeline pipeline = MakeCorpusPipeline(/*numeric=*/false);
   const std::vector<std::string> streams = MakeShardStreams(pipeline, 2);
@@ -188,20 +187,24 @@ TEST(ReportServerTest, ExpectedShardsBarrierHoldsForLateConnectors) {
   ASSERT_TRUE(server.ok());
   const net::Endpoint endpoint = server.value()->endpoint();
 
-  std::thread early([&] {
-    auto client = net::CollectorClient::Connect(endpoint, pipeline.header(),
-                                                /*ordinal=*/1);
-    ASSERT_TRUE(client.ok());
-    ASSERT_TRUE(client.value()
-                    .Send(streams[1].data() + stream::kStreamHeaderBytes,
-                          streams[1].size() - stream::kStreamHeaderBytes)
-                    .ok());
-    auto summary = client.value().Close();  // blocks on the barrier
-    ASSERT_TRUE(summary.ok()) << summary.status().ToString();
-    EXPECT_TRUE(summary.value().status.ok());
-  });
-  // Give ordinal 1 ample time to reach its CLOSE before 0 exists at all.
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  auto early = net::CollectorClient::Connect(endpoint, pipeline.header(),
+                                             /*ordinal=*/1);
+  ASSERT_TRUE(early.ok());
+  ASSERT_TRUE(early.value()
+                  .Send(streams[1].data() + stream::kStreamHeaderBytes,
+                        streams[1].size() - stream::kStreamHeaderBytes)
+                  .ok());
+  auto early_summary = early.value().Close();
+  ASSERT_TRUE(early_summary.ok()) << early_summary.status().ToString();
+  EXPECT_TRUE(early_summary.value().status.ok());
+  EXPECT_EQ(server.value()->stats().shards_merged, 1u);
+
+  // A closed ordinal is refused for the rest of the epoch.
+  auto again = net::CollectorClient::Connect(endpoint, pipeline.header(),
+                                             /*ordinal=*/1);
+  EXPECT_FALSE(again.ok());
+  EXPECT_EQ(again.status().code(), StatusCode::kAlreadyExists);
+
   auto late = net::CollectorClient::Connect(endpoint, pipeline.header(),
                                             /*ordinal=*/0);
   ASSERT_TRUE(late.ok());
@@ -212,9 +215,9 @@ TEST(ReportServerTest, ExpectedShardsBarrierHoldsForLateConnectors) {
   auto summary = late.value().Close();
   ASSERT_TRUE(summary.ok());
   EXPECT_TRUE(summary.value().status.ok());
-  early.join();
   server.value()->Stop(/*drain=*/true);
 
+  EXPECT_EQ(server.value()->stats().shards_merged, 2u);
   EXPECT_EQ(session.value().Snapshot(), reference);
 
   // An ordinal outside the declared fleet is refused at HELLO.
@@ -232,59 +235,35 @@ TEST(ReportServerTest, ExpectedShardsBarrierHoldsForLateConnectors) {
   server2.value()->Stop(/*drain=*/false);
 }
 
-TEST(ReportServerTest, BarrierWaitIsExemptFromTheIdleReap) {
-  // Ordinal 1 reaches its CLOSE while ordinal 0 stays away for several
-  // idle-timeout periods. The wait for the SHARD_CLOSED verdict belongs to
-  // the merge scheduler (bounded by merge_turn_timeout_ms, not
-  // idle_timeout_ms), so the idle sweep must not reap the connection —
-  // the reporter still gets its verdict and the session stays bit-identical
-  // to the ordinal-ordered reference.
+TEST(ReportServerTest, LateSmallerOrdinalMergesBitIdentically) {
+  // Ad hoc mode, one connection at a time, ordinals closed 3, 2, 1, 0:
+  // every shard merges the moment it closes, in the reverse of the
+  // reference's order, and the session still matches bit for bit.
   const api::Pipeline pipeline = MakeCorpusPipeline(/*numeric=*/false);
-  const std::vector<std::string> streams = MakeShardStreams(pipeline, 2);
+  const std::vector<std::string> streams = MakeShardStreams(pipeline, 4);
   const std::string reference = DirectSessionSnapshot(pipeline, streams);
 
   auto session = pipeline.NewServer();
   ASSERT_TRUE(session.ok());
-  net::ReportServerOptions options;
-  options.expected_shards = 2;
-  options.idle_timeout_ms = 150;  // several sweeps elapse during the wait
   auto server =
       net::ReportServer::Start(&session.value(), pipeline.header(),
-                               TestUdsEndpoint("barrier_idle"), options);
+                               TestUdsEndpoint("reverse_ordinals"),
+                               net::ReportServerOptions());
   ASSERT_TRUE(server.ok());
-  const net::Endpoint endpoint = server.value()->endpoint();
-
-  std::thread early([&] {
-    auto client = net::CollectorClient::Connect(endpoint, pipeline.header(),
-                                                /*ordinal=*/1);
-    ASSERT_TRUE(client.ok());
+  for (size_t s = streams.size(); s-- > 0;) {
+    auto client = net::CollectorClient::Connect(server.value()->endpoint(),
+                                                pipeline.header(), s);
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
     ASSERT_TRUE(client.value()
-                    .Send(streams[1].data() + stream::kStreamHeaderBytes,
-                          streams[1].size() - stream::kStreamHeaderBytes)
+                    .Send(streams[s].data() + stream::kStreamHeaderBytes,
+                          streams[s].size() - stream::kStreamHeaderBytes)
                     .ok());
-    auto summary = client.value().Close();  // barrier wait >> idle timeout
+    auto summary = client.value().Close();
     ASSERT_TRUE(summary.ok()) << summary.status().ToString();
-    EXPECT_TRUE(summary.value().status.ok())
-        << summary.value().status.ToString();
-  });
-  // Hold ordinal 0 back for ~4 idle-timeout periods.
-  std::this_thread::sleep_for(std::chrono::milliseconds(600));
-  auto late = net::CollectorClient::Connect(endpoint, pipeline.header(),
-                                            /*ordinal=*/0);
-  ASSERT_TRUE(late.ok());
-  ASSERT_TRUE(late.value()
-                  .Send(streams[0].data() + stream::kStreamHeaderBytes,
-                        streams[0].size() - stream::kStreamHeaderBytes)
-                  .ok());
-  auto summary = late.value().Close();
-  ASSERT_TRUE(summary.ok());
-  EXPECT_TRUE(summary.value().status.ok());
-  early.join();
+    EXPECT_TRUE(summary.value().status.ok());
+    EXPECT_EQ(server.value()->stats().shards_merged, streams.size() - s);
+  }
   server.value()->Stop(/*drain=*/true);
-
-  const net::ReportServerStats stats = server.value()->stats();
-  EXPECT_EQ(stats.shards_merged, 2u);
-  EXPECT_EQ(stats.shards_abandoned, 0u);
   EXPECT_EQ(session.value().Snapshot(), reference);
 }
 
@@ -292,10 +271,10 @@ TEST(ReportServerTest, ReporterDyingAfterCloseNeverWedgesTheBarrier) {
   // Ordinal 0 sends its whole stream, issues CLOSE_SHARD, and vanishes
   // without ever reading the verdict (its socket closes immediately, so
   // the server's reply flush can fail at any point around the dispatch).
-  // Whatever interleaving the server loses — close enqueued with the reply
-  // dropped, or the disconnect seen first and the shard abandoned — the
-  // ordinal must finish, so ordinal 1's close merges promptly instead of
-  // timing out at a wedged frontier.
+  // Whichever way the server sees it — close merged with the reply
+  // dropped, or the disconnect first and the shard abandoned — ordinal 1's
+  // close returns at once, and the session is bit-identical to the direct
+  // run over exactly the shards that merged.
   const api::Pipeline pipeline = MakeCorpusPipeline(/*numeric=*/false);
   const std::vector<std::string> streams = MakeShardStreams(pipeline, 2);
 
@@ -303,9 +282,6 @@ TEST(ReportServerTest, ReporterDyingAfterCloseNeverWedgesTheBarrier) {
   ASSERT_TRUE(session.ok());
   net::ReportServerOptions options;
   options.expected_shards = 2;
-  // A wedged frontier would discard ordinal 1 at this bound: keep it well
-  // under the test timeout but far above the healthy-path latency.
-  options.merge_turn_timeout_ms = 2000;
   auto server =
       net::ReportServer::Start(&session.value(), pipeline.header(),
                                TestUdsEndpoint("dying_closer"), options);
@@ -343,16 +319,17 @@ TEST(ReportServerTest, ReporterDyingAfterCloseNeverWedgesTheBarrier) {
   const net::ReportServerStats stats = server.value()->stats();
   EXPECT_EQ(stats.shards_merged + stats.shards_abandoned, 2u);
   EXPECT_GE(stats.shards_merged, 1u);  // the survivor always merges
-  if (stats.shards_merged == 2) {
-    EXPECT_EQ(session.value().Snapshot(),
-              DirectSessionSnapshot(pipeline, streams));
-  }
+  const std::vector<std::string> merged =
+      stats.shards_merged == 2 ? streams
+                               : std::vector<std::string>{streams[1]};
+  EXPECT_EQ(session.value().Snapshot(),
+            DirectSessionSnapshot(pipeline, merged));
 }
 
 TEST(ReportServerTest, MultiplexedShardsOverOneConnectionAreBitIdentical) {
   // All four shards ride ONE connection as interleaved channels; the
-  // event-driven server demultiplexes them and the merge barrier still
-  // produces the ordinal-ordered reference byte for byte.
+  // event-driven server demultiplexes them and the session still matches
+  // the ordinal-ordered reference byte for byte.
   const api::Pipeline pipeline = MakeCorpusPipeline(/*numeric=*/false);
   const std::vector<std::string> streams = MakeShardStreams(pipeline, 4);
   const std::string reference = DirectSessionSnapshot(pipeline, streams);
@@ -397,8 +374,9 @@ TEST(ReportServerTest, MultiplexedShardsOverOneConnectionAreBitIdentical) {
       progressed = true;
     }
   }
-  // Close in REVERSE ordinal order, pipelined: the verdicts come back in
-  // merge (ordinal) order and must still match up by channel.
+  // Close in REVERSE ordinal order, pipelined, then await in ordinal
+  // order: the verdicts come back in close order and must still match up
+  // by channel.
   for (size_t s = streams.size(); s-- > 0;) {
     ASSERT_TRUE(client.value().CloseShardBegin(channels[s]).ok());
   }
@@ -525,8 +503,9 @@ TEST(ReportServerTest, MultiEpochCampaignOverOneConnection) {
   auto session = pipeline.value().NewServer();
   ASSERT_TRUE(session.ok());
   net::ReportServerOptions options;
-  // Expected-shards mode: the Reopen below also proves the barrier resets
-  // when the epoch advances (ordinal 0 streams again in epoch 1).
+  // Expected-shards mode: the Reopen below also proves the closed-ordinal
+  // set resets when the epoch advances (ordinal 0 streams again in epoch
+  // 1).
   options.expected_shards = 1;
   auto server =
       net::ReportServer::Start(&session.value(), pipeline.value().header(),
@@ -586,7 +565,8 @@ TEST(ReportServerTest, MultiEpochCampaignOverOneConnection) {
   ASSERT_TRUE(direct.value().Feed(shard, epoch1).ok());
   ASSERT_TRUE(direct.value().CloseShard(shard).ok());
   // The refused advance left a refusal count in the wire session's ledger;
-  // the v2 snapshot serializes it, so the reference run must refuse too.
+  // the session snapshot serializes it, so the reference run must refuse
+  // too.
   EXPECT_FALSE(direct.value().AdvanceEpoch().ok());
   EXPECT_EQ(session.value().Snapshot(), direct.value().Snapshot());
 }

@@ -287,7 +287,7 @@ TEST(ServerSessionTest, ReporterLedgersRoundTripThroughSnapshotMerge) {
   EXPECT_EQ(restored.value().accountant().Spent("alice"), 2 * kEpsilon);
   EXPECT_EQ(restored.value().accountant().Spent("bob"), kEpsilon);
   EXPECT_EQ(restored.value().accountant().Refusals("alice"), 0u);
-  // The v2 snapshot embeds the ledger section, so bit-equality here pins
+  // The session snapshot embeds the ledger section, so bit-equality pins
   // the whole restored state — aggregates and accounting both.
   EXPECT_EQ(restored.value().Snapshot(), snapshot);
 
@@ -356,7 +356,13 @@ TEST(ServerSessionTest, LegacyV1SnapshotIsRefused) {
   v1[4] = 1;
   v1[5] = 0;
 
-  // Only version 2 is read: the v1 bytes are refused and merge nothing.
+  // Version 2 carried f64 aggregate sums; relabelling today's bytes as v2
+  // stands in for one.
+  std::string v2 = donor.value().Snapshot();
+  v2[4] = 2;
+  v2[5] = 0;
+
+  // Only version 3 is read: older bytes are refused and merge nothing.
   auto receiver = pipeline.NewServer();
   ASSERT_TRUE(receiver.ok());
   FeedEpoch(&receiver.value(),
@@ -364,6 +370,7 @@ TEST(ServerSessionTest, LegacyV1SnapshotIsRefused) {
   auto before = receiver.value().num_reports(0);
   ASSERT_TRUE(before.ok());
   EXPECT_EQ(receiver.value().Merge(v1).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(receiver.value().Merge(v2).code(), StatusCode::kInvalidArgument);
   auto after = receiver.value().num_reports(0);
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after.value(), before.value());

@@ -2,19 +2,24 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <algorithm>
+#include <random>
+#include <vector>
 
+#include "core/fixed_point.h"
 #include "stream/report_stream.h"
 #include "util/random.h"
 
 namespace ldp::stream {
 namespace {
 
-MixedTupleCollector MakeCollector(double epsilon = 6.0) {
+MixedTupleCollector MakeCollector(
+    double epsilon = 6.0,
+    FrequencyOracleKind oracle = FrequencyOracleKind::kOue) {
   auto collector = MixedTupleCollector::Create(
       {MixedAttribute::Numeric(), MixedAttribute::Categorical(4),
        MixedAttribute::Numeric(), MixedAttribute::Categorical(6)},
-      epsilon);
+      epsilon, MechanismKind::kHybrid, oracle);
   EXPECT_TRUE(collector.ok());
   return std::move(collector).value();
 }
@@ -82,11 +87,11 @@ TEST(SnapshotTest, MergeIsCommutative) {
   ASSERT_TRUE(ab.Merge(b).ok());
   MixedAggregator ba = b;
   ASSERT_TRUE(ba.Merge(a).ok());
-  // Double addition is commutative, so the merged states match bit for bit.
+  // Integer addition is commutative, so the merged states match bit for bit.
   ExpectSameState(ab, ba);
 }
 
-TEST(SnapshotTest, MergeIsAssociativeOnEstimates) {
+TEST(SnapshotTest, MergeIsAssociative) {
   const MixedTupleCollector collector = MakeCollector();
   const MixedAggregator a = FillAggregator(collector, 100, 31);
   const MixedAggregator b = FillAggregator(collector, 150, 32);
@@ -100,14 +105,83 @@ TEST(SnapshotTest, MergeIsAssociativeOnEstimates) {
   MixedAggregator right = a;
   ASSERT_TRUE(right.Merge(bc).ok());
 
-  // Counts and integer-valued supports associate exactly; floating-point
-  // numeric sums associate to within rounding.
-  EXPECT_EQ(left.num_reports(), right.num_reports());
-  EXPECT_EQ(left.attribute_report_counts(), right.attribute_report_counts());
-  EXPECT_EQ(left.supports(), right.supports());
-  for (size_t j = 0; j < left.numeric_sums().size(); ++j) {
-    EXPECT_NEAR(left.numeric_sums()[j], right.numeric_sums()[j], 1e-9);
+  // Every field is an integer sum — numeric sums included — so both
+  // groupings land on the same bits.
+  ExpectSameState(left, right);
+  EXPECT_EQ(EncodeAggregatorSnapshot(left), EncodeAggregatorSnapshot(right));
+}
+
+// Folds `parts` together in the order `order` names.
+template <typename Aggregator>
+Aggregator MergeInOrder(const std::vector<Aggregator>& parts,
+                        const std::vector<size_t>& order) {
+  Aggregator total = parts[order[0]];
+  for (size_t i = 1; i < order.size(); ++i) {
+    EXPECT_TRUE(total.Merge(parts[order[i]]).ok());
   }
+  return total;
+}
+
+// Merging in shuffled orders — and as a balanced tree — must give the same
+// snapshot bytes as merging in index order. `encode` serializes a merged
+// aggregator.
+template <typename Aggregator, typename Encode>
+void ExpectOrderFreeMerges(const std::vector<Aggregator>& parts,
+                           Encode encode) {
+  std::vector<size_t> order(parts.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  const std::string reference = encode(MergeInOrder(parts, order));
+  std::mt19937 shuffler(17);
+  for (int round = 0; round < 8; ++round) {
+    std::shuffle(order.begin(), order.end(), shuffler);
+    EXPECT_EQ(encode(MergeInOrder(parts, order)), reference)
+        << "shuffle round " << round;
+  }
+  std::reverse(order.begin(), order.end());
+  EXPECT_EQ(encode(MergeInOrder(parts, order)), reference) << "reversed";
+  std::vector<Aggregator> level = parts;
+  while (level.size() > 1) {
+    std::vector<Aggregator> next;
+    for (size_t i = 0; i + 1 < level.size(); i += 2) {
+      next.push_back(level[i]);
+      EXPECT_TRUE(next.back().Merge(level[i + 1]).ok());
+    }
+    if (level.size() % 2 == 1) next.push_back(level.back());
+    level = std::move(next);
+  }
+  EXPECT_EQ(encode(level[0]), reference) << "tree";
+}
+
+TEST(SnapshotTest, MergeOrderNeverChangesTheSnapshotBytes) {
+  for (const FrequencyOracleKind oracle :
+       {FrequencyOracleKind::kOue, FrequencyOracleKind::kHe}) {
+    SCOPED_TRACE(FrequencyOracleKindToString(oracle));
+    const MixedTupleCollector collector = MakeCollector(6.0, oracle);
+    std::vector<MixedAggregator> parts;
+    for (int s = 0; s < 7; ++s) {
+      parts.push_back(FillAggregator(collector, 40 + 30 * s, 900 + s));
+    }
+    ExpectOrderFreeMerges(parts, [](const MixedAggregator& aggregator) {
+      return EncodeAggregatorSnapshot(aggregator);
+    });
+  }
+
+  auto mechanism =
+      SampledNumericMechanism::Create(MechanismKind::kHybrid, 2.0, 5);
+  ASSERT_TRUE(mechanism.ok());
+  std::vector<NumericAggregator> parts;
+  Rng rng(77);
+  for (int s = 0; s < 7; ++s) {
+    NumericAggregator aggregator(&mechanism.value());
+    for (int i = 0; i < 50 + 20 * s; ++i) {
+      aggregator.Add(
+          mechanism.value().Perturb({0.9, -0.3, 0.1, -0.8, 0.45}, &rng));
+    }
+    parts.push_back(aggregator);
+  }
+  ExpectOrderFreeMerges(parts, [](const NumericAggregator& aggregator) {
+    return EncodeNumericAggregatorSnapshot(aggregator, MechanismKind::kHybrid);
+  });
 }
 
 TEST(SnapshotTest, SnapshotMergeMatchesDirectMerge) {
@@ -173,16 +247,19 @@ TEST(SnapshotTest, RejectsBadMagicAndVersion) {
   std::string bad_version = good;
   bad_version[4] = 9;
   EXPECT_FALSE(DecodeAggregatorSnapshot(bad_version, &collector).ok());
+  // Version 1 held f64 sums; it is refused, not reinterpreted.
+  bad_version[4] = 1;
+  EXPECT_FALSE(DecodeAggregatorSnapshot(bad_version, &collector).ok());
 }
 
 TEST(FromPartsTest, ValidatesShapesAndValues) {
   const MixedTupleCollector collector = MakeCollector();
   const uint32_t d = collector.dimension();
   std::vector<uint64_t> counts(d, 5);
-  std::vector<double> sums(d, 0.0);
-  std::vector<std::vector<double>> supports(d);
-  supports[1].assign(4, 1.0);
-  supports[3].assign(6, 1.0);
+  std::vector<FixedPointSum> sums(d, 0);
+  std::vector<std::vector<uint64_t>> supports(d);
+  supports[1].assign(4, 1);
+  supports[3].assign(6, 1);
 
   EXPECT_TRUE(MixedAggregator::FromParts(&collector, 10, counts, sums,
                                          supports)
@@ -194,13 +271,13 @@ TEST(FromPartsTest, ValidatesShapesAndValues) {
                    .ok());
   // Support size not matching the domain.
   auto bad_supports = supports;
-  bad_supports[1].push_back(0.0);
+  bad_supports[1].push_back(0);
   EXPECT_FALSE(MixedAggregator::FromParts(&collector, 10, counts, sums,
                                           bad_supports)
                    .ok());
   // Support present at a numeric position.
   bad_supports = supports;
-  bad_supports[0].assign(2, 0.0);
+  bad_supports[0].assign(2, 0);
   EXPECT_FALSE(MixedAggregator::FromParts(&collector, 10, counts, sums,
                                           bad_supports)
                    .ok());
@@ -210,11 +287,36 @@ TEST(FromPartsTest, ValidatesShapesAndValues) {
   EXPECT_FALSE(MixedAggregator::FromParts(&collector, 10, bad_counts, sums,
                                           supports)
                    .ok());
-  // Non-finite sums.
+  // A numeric sum beyond what its attribute's reports can reach: each of
+  // the 5 reports adds at most the quantized scaled output bound.
+  const double value_bound = ScaledValueBound(
+      d, collector.k(), collector.scalar_mechanism().OutputBound());
+  const FixedPointSum max_sum =
+      static_cast<FixedPointSum>(counts[0]) * QuantizeValue(value_bound);
   auto bad_sums = sums;
-  bad_sums[0] = std::nan("");
+  bad_sums[0] = max_sum;
+  EXPECT_TRUE(MixedAggregator::FromParts(&collector, 10, counts, bad_sums,
+                                         supports)
+                  .ok());
+  bad_sums[0] = max_sum + 1;
   EXPECT_FALSE(MixedAggregator::FromParts(&collector, 10, counts, bad_sums,
                                           supports)
+                   .ok());
+  bad_sums[0] = -max_sum - 1;
+  EXPECT_FALSE(MixedAggregator::FromParts(&collector, 10, counts, bad_sums,
+                                          supports)
+                   .ok());
+  // A numeric sum at a categorical position.
+  bad_sums = sums;
+  bad_sums[1] = 1;
+  EXPECT_FALSE(MixedAggregator::FromParts(&collector, 10, counts, bad_sums,
+                                          supports)
+                   .ok());
+  // An OUE support count above the attribute's report count.
+  bad_supports = supports;
+  bad_supports[3][2] = counts[3] + 1;
+  EXPECT_FALSE(MixedAggregator::FromParts(&collector, 10, counts, sums,
+                                          bad_supports)
                    .ok());
 }
 

@@ -39,6 +39,8 @@ TEST(IdentityFlagTest, Table) {
       {"--node-id", "42", kAllIdentityFlags, true, true},
       {"--node-id", "0", kAllIdentityFlags, true, true},
       {"--node-id", "4x2", kAllIdentityFlags, true, false},
+      {"--node-id", "-1", kAllIdentityFlags, true, false},
+      {"--node-id", "+3", kAllIdentityFlags, true, false},
       {"--node-id", "", kAllIdentityFlags, true, false},
       {"--node-id", "42", kFlagReporterId | kFlagCampaignKey, false, true},
       // Non-identity flags never match, whatever is enabled.
@@ -104,6 +106,48 @@ TEST(IdentityFlagTest, ReporterIdentityPairingRule) {
     EXPECT_EQ(CheckReporterIdentity(flags, &error), c.ok);
     EXPECT_EQ(error.empty(), c.ok) << error;
   }
+}
+
+TEST(UnsignedFlagTest, Table) {
+  struct UnsignedCase {
+    const char* text;
+    bool ok;
+    uint64_t value;
+  };
+  const UnsignedCase kCases[] = {
+      {"0", true, 0},
+      {"4", true, 4},
+      {"007", true, 7},
+      {"18446744073709551615", true, UINT64_MAX},
+      {"", false, 0},                      // empty
+      {"-1", false, 0},                    // sign (would wrap to 2^64-1)
+      {"+4", false, 0},                    // sign
+      {" 4", false, 0},                    // leading whitespace
+      {"4 ", false, 0},                    // trailing whitespace
+      {"4x", false, 0},                    // trailing junk
+      {"abc", false, 0},                   // no digits (would read as 0)
+      {"0x10", false, 0},                  // not decimal
+      {"18446744073709551616", false, 0},  // overflow
+  };
+  for (const UnsignedCase& c : kCases) {
+    SCOPED_TRACE(std::string("'") + c.text + "'");
+    uint64_t value = 99;
+    EXPECT_EQ(ParseUnsignedFlag(c.text, &value), c.ok);
+    EXPECT_EQ(value, c.ok ? c.value : 99u);  // untouched on refusal
+  }
+}
+
+TEST(UnsignedFlagTest, RespectsTheTargetTypesRange) {
+  uint32_t narrow = 0;
+  EXPECT_TRUE(ParseUnsignedFlag("4294967295", &narrow));
+  EXPECT_EQ(narrow, UINT32_MAX);
+  EXPECT_FALSE(ParseUnsignedFlag("4294967296", &narrow));
+  int timeout_ms = 0;
+  EXPECT_TRUE(ParseUnsignedFlag("2147483647", &timeout_ms));
+  EXPECT_EQ(timeout_ms, INT32_MAX);
+  EXPECT_FALSE(ParseUnsignedFlag("2147483648", &timeout_ms));
+  EXPECT_FALSE(ParseUnsignedFlag("-5", &timeout_ms));
+  EXPECT_FALSE(ParseUnsignedFlag(nullptr, &timeout_ms));
 }
 
 TEST(VocabularyFlagTest, OracleTable) {

@@ -3,8 +3,9 @@
 // (record first, session call second), "crashes" by abandoning the log
 // mid-conversation, and then replays the directory into a fresh session.
 // The contract under test: replay reconstructs the pre-crash session bit
-// for bit — same Snapshot(), same merge order — a torn tail at EOF is
-// truncated away, and a CRC-corrupt record poisons only its own shard.
+// for bit — same Snapshot(), whatever order the live run closed shards in —
+// a torn tail at EOF is truncated away, and a CRC-corrupt record poisons
+// only its own shard.
 
 #include <gtest/gtest.h>
 #include <dirent.h>
@@ -113,8 +114,8 @@ TEST(WalTest, ReplayReproducesTheSessionExactly) {
   ASSERT_TRUE(wal.ok()) << wal.status().ToString();
   EXPECT_EQ(empty.shards_replayed, 0u);
 
-  // Merge in NON-ordinal order (1, 0, 2): close_seq, not the file name,
-  // must carry the merge order through the crash.
+  // Merge in NON-ordinal order (1, 0, 2): replay closes in file-name
+  // order, and exact merges make that the same session.
   std::vector<size_t> shards(3);
   for (uint64_t s = 0; s < 3; ++s) {
     PlayShard(wal.value().get(), &logged.value(), streams[s], s, &shards[s]);
@@ -531,10 +532,11 @@ TEST(WalTest, HeaderMismatchAgainstExpectedPoisonsTheShard) {
 }
 
 TEST(WalTest, ReplayRestoresTheReporterLedgerExactly) {
-  // The reporter id rides in the v2 kHeader record so replay re-charges
-  // the same (reporter, epoch) cell the live run charged. After the crash
-  // the restored session must match the pre-crash one bit for bit — the
-  // v2 snapshot embeds the ledger section, so equality pins the spend.
+  // The reporter id rides in the kHeader record so replay re-charges the
+  // same (reporter, epoch) cell the live run charged. After the crash the
+  // restored session must match the pre-crash one bit for bit — the
+  // session snapshot embeds the ledger section, so equality pins the
+  // spend.
   const api::Pipeline pipeline = MakeCorpusPipeline(/*numeric=*/false);
   const std::string dir = TestWalDir("reporter_ledger");
   const std::vector<std::string> streams = {MakeHonestStream(pipeline, 920),
@@ -591,10 +593,11 @@ TEST(WalTest, ReplayRestoresTheReporterLedgerExactly) {
 }
 
 TEST(WalTest, LegacyV1LogIsRefusedAsCorrupt) {
-  // A log written before reporter ids existed: version 1 in the file
-  // header, kHeader payload = bare stream-header bytes. Craft one byte by
-  // byte (framing documented in relay/frame_wal.h): only version 2 replays,
-  // so this one counts as corrupt and contributes nothing.
+  // Logs in the two retired formats, crafted byte by byte (framing
+  // documented in relay/frame_wal.h): version 1 (kHeader payload = bare
+  // stream-header bytes) and version 2 (reporter-id-prefixed kHeader, a
+  // u64 close sequence in the close record). Only version 3 replays, so
+  // both count as corrupt and contribute nothing.
   const api::Pipeline pipeline = MakeCorpusPipeline(/*numeric=*/false);
   const std::string stream = MakeHonestStream(pipeline, 930);
   const std::string dir = TestWalDir("legacy_v1");
@@ -625,24 +628,31 @@ TEST(WalTest, LegacyV1LogIsRefusedAsCorrupt) {
     out->append(payload);
   };
 
-  std::string file;
-  put32(&file, relay::kWalMagic);
-  put16(&file, 1);  // version
-  put32(&file, 0);  // epoch
-  put64(&file, 0);  // ordinal
-  append_record(&file, /*kHeader=*/1,
-                stream.substr(0, stream::kStreamHeaderBytes));
-  append_record(&file, /*kData=*/2,
-                stream.substr(stream::kStreamHeaderBytes));
-  std::string close_payload;
-  put64(&close_payload, 1);  // close_seq
-  append_record(&file, /*kClose=*/3, close_payload);
-  {
-    std::ofstream out(dir + "/wal-e00000-o00000-g00001.ldpw",
-                      std::ios::binary);
+  auto write_log = [&](uint16_t version, uint64_t ordinal,
+                       const std::string& header_payload) {
+    std::string file;
+    put32(&file, relay::kWalMagic);
+    put16(&file, version);
+    put32(&file, 0);  // epoch
+    put64(&file, ordinal);
+    append_record(&file, /*kHeader=*/1, header_payload);
+    append_record(&file, /*kData=*/2,
+                  stream.substr(stream::kStreamHeaderBytes));
+    std::string close_payload;
+    put64(&close_payload, 1);  // close_seq
+    append_record(&file, /*kClose=*/3, close_payload);
+    const std::string name = "/wal-e00000-o0000" + std::to_string(ordinal) +
+                             "-g00001.ldpw";
+    std::ofstream out(dir + name, std::ios::binary);
     ASSERT_TRUE(out.is_open());
     out.write(file.data(), static_cast<std::streamsize>(file.size()));
-  }
+  };
+  const std::string header = stream.substr(0, stream::kStreamHeaderBytes);
+  write_log(/*version=*/1, /*ordinal=*/0, header);
+  std::string v2_header;
+  put16(&v2_header, 0);  // empty (anonymous) reporter id
+  v2_header.append(header);
+  write_log(/*version=*/2, /*ordinal=*/1, v2_header);
 
   auto replayed = pipeline.NewServer();
   ASSERT_TRUE(replayed.ok());
@@ -651,7 +661,7 @@ TEST(WalTest, LegacyV1LogIsRefusedAsCorrupt) {
                                   &summary)
                   .ok());
   EXPECT_EQ(summary.shards_replayed, 0u);
-  EXPECT_EQ(summary.shards_corrupt, 1u);
+  EXPECT_EQ(summary.shards_corrupt, 2u);
   auto reports = replayed.value().num_reports(0);
   ASSERT_TRUE(reports.ok());
   EXPECT_EQ(reports.value(), 0u);

@@ -14,20 +14,20 @@
 //                 [--snapshot-out FILE] SHARD...
 //
 // A SHARD argument that is a *directory* is a write-ahead frame log left
-// by `ldp_serve --wal-dir` (src/relay/frame_wal.h): its shards replay in
-// the exact merge order the crashed collector used, so aggregating a WAL
-// directory reproduces that collector's session bit for bit — the offline
-// escape hatch when a crashed edge is never restarted.
+// by `ldp_serve --wal-dir` (src/relay/frame_wal.h): its closed shards
+// replay, so aggregating a WAL directory reproduces that collector's
+// session bit for bit — the offline escape hatch when a crashed edge is
+// never restarted.
 //
 // Report streams and single-epoch snapshots fold into epoch 0; session
 // snapshots merge epoch by epoch. --epoch E prints only epoch E's
 // estimates (default: every epoch). --threads T gives the ServerSession a
-// T-worker ingest pool: inputs decode concurrently within the epoch but are
-// always reduced in argument order, so the output is independent of
-// scheduling and thread count — shards produced by ldp_report with the same
-// seed reproduce an in-process ldp_collect run exactly. With --snapshot-out
-// the full session state is written as a session snapshot, enabling
-// tree-shaped aggregation across server generations and epochs.
+// T-worker ingest pool: inputs decode concurrently within the epoch. Merges
+// are exact integer sums, so the output is independent of scheduling,
+// thread count and argument order — shards produced by ldp_report with the
+// same seed reproduce an in-process ldp_collect run exactly. With
+// --snapshot-out the full session state is written as a session snapshot,
+// enabling tree-shaped aggregation across server generations and epochs.
 
 #include <sys/stat.h>
 
@@ -65,9 +65,9 @@ void Usage() {
       "                     [--snapshot-out FILE] [--metrics-out FILE]\n"
       "                     [--version] SHARD...\n"
       "SHARD files are report streams (ldp_report), aggregator snapshots,\n"
-      "or session snapshots (ldp_aggregate --snapshot-out), merged in\n"
-      "argument order; a SHARD directory is an ldp_serve --wal-dir frame\n"
-      "log, replayed in its logged merge order. --epoch E prints only\n"
+      "or session snapshots (ldp_aggregate --snapshot-out), merged\n"
+      "exactly in any order; a SHARD directory is an ldp_serve --wal-dir\n"
+      "frame log, replayed. --epoch E prints only\n"
       "epoch E. --metrics-out dumps the run's telemetry registry as JSON\n"
       "at exit.\n");
 }
@@ -184,19 +184,14 @@ int main(int argc, char** argv) {
     } else if (arg == "--confidence") {
       confidence = std::strtod(next(), nullptr);
     } else if (arg == "--threads") {
-      threads = static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
+      tools::ParseUnsignedFlagOrExit(arg, next(), &threads, Usage);
     } else if (arg == "--strict") {
       ingest_options.strict = true;
     } else if (arg == "--max-rejected") {
-      ingest_options.max_rejected = std::strtoull(next(), nullptr, 10);
+      tools::ParseUnsignedFlagOrExit(arg, next(), &ingest_options.max_rejected,
+                                     Usage);
     } else if (arg == "--epoch") {
-      const char* text = next();
-      char* end = nullptr;
-      selected_epoch = std::strtol(text, &end, 10);
-      if (end == text || *end != '\0' || selected_epoch < 0) {
-        Usage();
-        return 2;
-      }
+      tools::ParseUnsignedFlagOrExit(arg, next(), &selected_epoch, Usage);
     } else if (arg == "--snapshot-out") {
       snapshot_out = next();
     } else if (arg == "--metrics-out") {

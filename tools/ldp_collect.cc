@@ -13,16 +13,16 @@
 // dropped — so memory stays O(schema) no matter how many rows the CSV
 // carries (a cheap first pass counts rows to fix the chunk boundaries).
 // Rows are fed as one server shard per SplitRange chunk of the requested
-// --threads, closed in order, so the printed estimates are bit-identical to
-// the materializing CollectProposed simulation with the same seed and
-// thread count (and to an ldp_report | ldp_aggregate split with matching
-// shards).
+// --threads. Merges are exact integer sums, so the printed estimates are
+// bit-identical to the materializing CollectProposed simulation with the
+// same seed at any thread count (and to any ldp_report | ldp_aggregate
+// split).
 //
 // Note on --threads: the streaming loop itself is sequential (the CSV
-// reader is the pipeline); the flag only fixes the chunk boundaries so the
-// output stays reproducible against pooled in-process runs and sharded
-// splits. For parallel collection at scale, split the work with
-// `ldp_report --shards` and aggregate with `ldp_aggregate --threads`.
+// reader is the pipeline); the flag only sets the chunk boundaries, which
+// no longer change a single bit of the output. For parallel collection at
+// scale, split the work with `ldp_report --shards` and aggregate with
+// `ldp_aggregate --threads`.
 //
 // The schema file format is documented in src/data/schema_text.h;
 // ldp_generate produces compatible pairs.
@@ -57,8 +57,8 @@ void Usage() {
       "                   [--seed S] [--confidence C] [--threads T]\n"
       "                   [--reporter-id ID] [--metrics-out FILE]\n"
       "                   [--version]\n"
-      "--threads fixes the summation chunk boundaries for bit-compatible\n"
-      "output with pooled/sharded runs; the streaming loop is sequential.\n"
+      "--threads sets the summation chunk boundaries (the output is\n"
+      "bit-identical for every value); the streaming loop is sequential.\n"
       "--reporter-id charges the run's privacy budget to that reporter's\n"
       "ledger (once per epoch) instead of only the anonymous campaign plan.\n"
       "--metrics-out dumps the run's telemetry registry as JSON at exit.\n");
@@ -95,9 +95,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--confidence") {
       confidence = std::strtod(next(), nullptr);
     } else if (arg == "--seed") {
-      seed = std::strtoull(next(), nullptr, 10);
+      tools::ParseUnsignedFlagOrExit(arg, next(), &seed, Usage);
     } else if (arg == "--threads") {
-      threads = static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
+      tools::ParseUnsignedFlagOrExit(arg, next(), &threads, Usage);
     } else if (arg == "--metrics-out") {
       metrics_out = next();
     } else if (tools::ParseIdentityFlag(arg, next, tools::kFlagReporterId,
@@ -170,8 +170,7 @@ int main(int argc, char** argv) {
   api::ServerSession& session = server.value();
 
   // Chunk boundaries mirror what ParallelFor would use for --threads
-  // workers, so the chunk-ordered reduction lands on the same bits as the
-  // pooled in-process simulation ever did.
+  // workers; exact merges make the result independent of them.
   const std::vector<IndexRange> ranges =
       threads > 1 ? SplitRange(n, static_cast<uint64_t>(threads) * 4)
                   : SplitRange(n, 1);

@@ -14,6 +14,7 @@
 #include "data/census.h"
 #include "data/csv.h"
 #include "data/schema_text.h"
+#include "tool_flags.h"
 #include "util/build_info.h"
 
 namespace {
@@ -49,11 +50,11 @@ int main(int argc, char** argv) {
     if (arg == "--dataset") {
       dataset = next();
     } else if (arg == "--rows") {
-      rows = std::strtoull(next(), nullptr, 10);
+      ldp::tools::ParseUnsignedFlagOrExit(arg, next(), &rows, Usage);
     } else if (arg == "--out") {
       prefix = next();
     } else if (arg == "--seed") {
-      seed = std::strtoull(next(), nullptr, 10);
+      ldp::tools::ParseUnsignedFlagOrExit(arg, next(), &seed, Usage);
     } else {
       Usage();
       return 2;

@@ -22,11 +22,12 @@
 //
 // File mode produces PREFIX.shard-000.ldps ... PREFIX.shard-<N-1>.ldps.
 // Connect mode opens one collector connection per shard and HELLOs the
-// shard's index as its merge ordinal. Either way, shard boundaries follow
+// shard's index as its ordinal. Either way, shard boundaries follow
 // util/threadpool.h SplitRange and user `row` draws from
-// api::UserRng(seed, row), so aggregating the shards in (ordinal) order
-// reproduces an in-process ldp_collect run with the same seed and chunking
-// bit for bit — including across the network. --shard-index I restricts
+// api::UserRng(seed, row); merges are exact integer sums, so aggregating
+// the shards in any order and at any shard count reproduces an in-process
+// ldp_collect run with the same seed bit for bit — including across the
+// network. --shard-index I restricts
 // this invocation to shard I (same boundaries, same randomness), which is
 // how a fleet of concurrent reporter processes splits one campaign.
 
@@ -70,8 +71,7 @@ void Usage() {
 
 std::string ShardPath(const std::string& prefix, size_t shard) {
   // Five digits keep lexicographic shell-glob order equal to numeric shard
-  // order (ldp_aggregate reduces in argument order, and bit-exact
-  // reproduction depends on it) for any realistic shard count.
+  // order for any realistic shard count.
   char suffix[48];
   std::snprintf(suffix, sizeof(suffix), ".shard-%05zu.ldps", shard);
   return prefix + suffix;
@@ -194,17 +194,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--connect") {
       connect_spec = next();
     } else if (arg == "--shards") {
-      shards = std::strtoull(next(), nullptr, 10);
+      tools::ParseUnsignedFlagOrExit(arg, next(), &shards, Usage);
     } else if (arg == "--shard-index") {
-      const char* text = next();
-      char* end = nullptr;
-      shard_index = std::strtol(text, &end, 10);
-      if (end == text || *end != '\0' || shard_index < 0) {
-        Usage();
-        return 2;
-      }
+      tools::ParseUnsignedFlagOrExit(arg, next(), &shard_index, Usage);
     } else if (arg == "--seed") {
-      seed = std::strtoull(next(), nullptr, 10);
+      tools::ParseUnsignedFlagOrExit(arg, next(), &seed, Usage);
     } else if (arg == "--metrics-out") {
       metrics_out = next();
     } else if (tools::ParseIdentityFlag(

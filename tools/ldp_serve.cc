@@ -4,11 +4,11 @@
 // connection negotiates its stream header (schema hash, ε, mechanism/oracle
 // kinds) before a single report byte is decoded, then becomes one session
 // shard: framing errors, disconnects, and slow-loris stalls poison or
-// abandon only that shard. Closed shards merge in client ordinal order;
-// with --expect-shards N (a strict barrier over ordinals 0..N-1) a
-// campaign of reporters reproduces the file-based
+// abandon only that shard. A shard merges the moment it closes; merges are
+// exact integer sums, so a campaign of reporters reproduces the file-based
 // `ldp_aggregate shard-0 ... shard-N-1` run bit for bit no matter when
-// each reporter connects or finishes.
+// each reporter connects or finishes. --expect-shards N only bounds the
+// ordinals to 0..N-1 and refuses a second close of one in the same epoch.
 //
 //   ldp_serve --schema FILE --epsilon E --listen tcp:HOST:PORT|unix:PATH
 //             [--expect-shards N] [--mechanism hm|pm]
@@ -34,9 +34,8 @@
 // and skip them). --relay-to turns this node into an edge that
 // periodically — and finally, at drain — ships its cumulative session
 // snapshot upstream; the upstream (run with --accept-snapshots) folds the
-// latest snapshot per node in ascending --node-id order at its own drain,
-// which keeps a two-tier campaign bit-identical to the tree-shaped
-// file-based run.
+// latest snapshot per --node-id at its own drain, and exact merges keep a
+// two-tier campaign bit-identical to the tree-shaped file-based run.
 //
 // Observability: every run carries an obs::MetricsRegistry and campaign
 // EventJournal wired through the session, ingester, thread pool, and
@@ -99,6 +98,9 @@ void Usage() {
       "                 [--version]\n"
       "ENDPOINT is tcp:HOST:PORT (port 0 = ephemeral, printed on stdout)\n"
       "or unix:PATH. SIGTERM drains and writes the snapshot/estimates.\n"
+      "Shards merge as they close; merges are exact, so the result is\n"
+      "bit-identical for any arrival order. --expect-shards N refuses\n"
+      "ordinals outside 0..N-1 and a second close of one per epoch.\n"
       "--campaign-key requires protocol v3 HELLOs carrying a reporter id\n"
       "authenticated with the shared key; spend is then accounted per\n"
       "reporter and unauthenticated connections are refused.\n"
@@ -146,12 +148,13 @@ int main(int argc, char** argv) {
     } else if (arg == "--listen") {
       listen_spec = next();
     } else if (arg == "--epochs") {
-      epochs = static_cast<uint32_t>(std::strtoul(next(), nullptr, 10));
+      tools::ParseUnsignedFlagOrExit(arg, next(), &epochs, Usage);
     } else if (arg == "--expect-shards") {
-      server_options.expected_shards = std::strtoull(next(), nullptr, 10);
+      tools::ParseUnsignedFlagOrExit(arg, next(),
+                                     &server_options.expected_shards, Usage);
     } else if (arg == "--acceptors") {
-      server_options.acceptors =
-          static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
+      tools::ParseUnsignedFlagOrExit(arg, next(), &server_options.acceptors,
+                                     Usage);
     } else if (arg == "--poller") {
       const std::string backend = next();
       if (backend == "epoll") {
@@ -163,14 +166,15 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--threads") {
-      threads = static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
+      tools::ParseUnsignedFlagOrExit(arg, next(), &threads, Usage);
     } else if (arg == "--idle-timeout-ms") {
-      server_options.idle_timeout_ms =
-          static_cast<int>(std::strtol(next(), nullptr, 10));
+      tools::ParseUnsignedFlagOrExit(arg, next(),
+                                     &server_options.idle_timeout_ms, Usage);
     } else if (arg == "--strict") {
       ingest_options.strict = true;
     } else if (arg == "--max-rejected") {
-      ingest_options.max_rejected = std::strtoull(next(), nullptr, 10);
+      tools::ParseUnsignedFlagOrExit(arg, next(), &ingest_options.max_rejected,
+                                     Usage);
     } else if (arg == "--confidence") {
       confidence = std::strtod(next(), nullptr);
     } else if (arg == "--snapshot-out") {
@@ -178,8 +182,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--metrics") {
       metrics_spec = next();
     } else if (arg == "--stats-interval-s") {
-      stats_interval_s =
-          static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
+      tools::ParseUnsignedFlagOrExit(arg, next(), &stats_interval_s, Usage);
     } else if (arg == "--journal-out") {
       journal_out = next();
     } else if (arg == "--trace-out") {
@@ -274,7 +277,8 @@ int main(int argc, char** argv) {
 
   // The WAL replays before the server starts listening: a crashed run's
   // frames are back in the session, still-open shards become resume
-  // entries, and already-merged ordinals seed the barrier as done.
+  // entries, and with --expect-shards already-merged ordinals are refused
+  // as duplicates.
   const stream::StreamHeader expected_header = pipeline.value().header();
   std::unique_ptr<relay::FrameWal> wal;
   relay::WalReplaySummary replay;

@@ -1,17 +1,20 @@
 // Shared CLI flag parsers for the tools. `--oracle`, `--mechanism`,
-// `--stream`, and the campaign-identity flags (`--reporter-id`,
-// `--campaign-key`, `--node-id`) must accept exactly the same vocabulary in
-// every binary (ldp_collect, ldp_report, ldp_serve); one parser per flag
-// keeps a new oracle kind — or an identity validation rule — from being
-// silently unreachable or different in one tool.
+// `--stream`, the campaign-identity flags (`--reporter-id`,
+// `--campaign-key`, `--node-id`) and every unsigned integer operand must
+// accept exactly the same vocabulary in every binary (ldp_collect,
+// ldp_report, ldp_serve, ...); one parser per flag keeps a new oracle kind —
+// or a validation rule — from being silently unreachable or different in
+// one tool.
 
 #ifndef LDP_TOOLS_TOOL_FLAGS_H_
 #define LDP_TOOLS_TOOL_FLAGS_H_
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
 
 #include "api/pipeline.h"
@@ -51,6 +54,36 @@ inline bool WriteMetricsFile(const std::string& path,
     return false;
   }
   return true;
+}
+
+/// Strict unsigned integer operand: decimal digits only — no sign, no
+/// whitespace, no trailing junk — and no larger than T can hold. Returns
+/// false (leaving *value untouched) on anything else, so `4x`, `abc`, `-1`
+/// and an overflow are refused instead of read as 4, 0 or 2^64-1.
+template <typename T>
+bool ParseUnsignedFlag(const char* text, T* value) {
+  if (text == nullptr || text[0] < '0' || text[0] > '9') return false;
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long parsed = std::strtoull(text, &end, 10);
+  if (errno == ERANGE || *end != '\0' ||
+      parsed > static_cast<unsigned long long>(std::numeric_limits<T>::max())) {
+    return false;
+  }
+  *value = static_cast<T>(parsed);
+  return true;
+}
+
+/// ParseUnsignedFlag for `flag`'s operand `text`, or a message, the tool's
+/// usage text and exit status 2.
+template <typename T>
+void ParseUnsignedFlagOrExit(const std::string& flag, const char* text,
+                             T* value, void (*usage)()) {
+  if (ParseUnsignedFlag(text, value)) return;
+  std::fprintf(stderr, "%s needs a non-negative integer, got '%s'\n",
+               flag.c_str(), text);
+  usage();
+  std::exit(2);
 }
 
 /// "oue" | "grr" | "sue" | "olh" | "he" | "the".
@@ -122,10 +155,7 @@ bool ParseIdentityFlag(const std::string& arg, NextFn&& next, unsigned allowed,
     return true;
   }
   if (arg == "--node-id" && (allowed & kFlagNodeId) != 0) {
-    const char* value = next();
-    char* end = nullptr;
-    flags->node_id = std::strtoull(value, &end, 10);
-    if (end == value || *end != '\0') {
+    if (!ParseUnsignedFlag(next(), &flags->node_id)) {
       *error = "--node-id must be a non-negative integer";
     }
     return true;
