@@ -111,27 +111,12 @@ void MixedAggregator::Add(const MixedReport& report) {
     if (collector_->schema()[entry.attribute].type == AttributeType::kNumeric) {
       OnNumericEntry(entry.attribute, entry.numeric_value);
     } else {
-      OnCategoricalEntry(entry.attribute, entry.categorical_report);
+      ++attribute_reports_[entry.attribute];
+      collector_->oracle_for(entry.attribute)
+          ->Accumulate(entry.categorical_report,
+                       &supports_[entry.attribute]);
     }
   }
-}
-
-void MixedAggregator::OnReportBegin(uint32_t /*entry_count*/) {
-  ++num_reports_;
-}
-
-void MixedAggregator::OnNumericEntry(uint32_t attribute, double value) {
-  LDP_DCHECK(attribute < collector_->dimension());
-  ++attribute_reports_[attribute];
-  numeric_sums_[attribute] += QuantizeValue(value);
-}
-
-void MixedAggregator::OnCategoricalEntry(
-    uint32_t attribute, const FrequencyOracle::Report& payload) {
-  LDP_DCHECK(attribute < collector_->dimension());
-  ++attribute_reports_[attribute];
-  collector_->oracle_for(attribute)->Accumulate(payload,
-                                                &supports_[attribute]);
 }
 
 Result<MixedAggregator> MixedAggregator::FromParts(

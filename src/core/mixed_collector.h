@@ -71,12 +71,13 @@ struct MixedReportEntry {
 /// A user's privatized report: exactly k sampled attributes.
 using MixedReport = std::vector<MixedReportEntry>;
 
-/// Streaming consumer of one validated mixed report, entry by entry. This is
-/// the allocation-free counterpart of materializing a MixedReport: the wire
-/// decoder (core/wire.h MixedFrameDecoder) validates a whole frame first and
-/// then replays its entries into a sink, so implementations never see a
-/// partially valid report. MixedAggregator implements this interface —
-/// streaming a report into it is exactly equivalent to Add().
+/// Consumer of one validated mixed report, entry by entry, for callers that
+/// want the report's entries without an aggregator: the wire decoder
+/// (core/wire.h MixedFrameDecoder::DecodeInto) validates a whole frame first
+/// and then replays its entries into a sink, so implementations never see a
+/// partially valid report. The materializing DecodeMixedReport is built on
+/// it; the server's ingest path does not use it (MixedAggregator is a
+/// non-virtual Decode sink instead).
 class MixedReportSink {
  public:
   virtual ~MixedReportSink() = default;
@@ -88,7 +89,7 @@ class MixedReportSink {
   virtual void OnNumericEntry(uint32_t attribute, double value) = 0;
 
   /// One sampled categorical attribute. `payload` is only valid for the
-  /// duration of the call (it aliases decoder scratch).
+  /// duration of the call (it is decoder scratch).
   virtual void OnCategoricalEntry(uint32_t attribute,
                                   const FrequencyOracle::Report& payload) = 0;
 };
@@ -176,10 +177,11 @@ class MixedTupleCollector {
 
 /// The server half: accumulates MixedReports and produces estimates.
 ///
-/// Implements MixedReportSink so the streaming wire decoder can fold a
-/// report in without materializing it: OnReportBegin + one On*Entry call per
-/// entry is bit-identical to Add() on the equivalent MixedReport.
-class MixedAggregator : public MixedReportSink {
+/// It is also the sink of the wire decoder (core/wire.h
+/// MixedFrameDecoder::Decode), which folds a validated frame in straight
+/// from its bytes: OnReportBegin + one On*Entry call per entry is
+/// bit-identical to Add() on the equivalent MixedReport.
+class MixedAggregator {
  public:
   /// `collector` must outlive the aggregator (it borrows the schema and the
   /// oracles to decode reports).
@@ -201,13 +203,22 @@ class MixedAggregator : public MixedReportSink {
   /// Folds in one user's report.
   void Add(const MixedReport& report);
 
-  /// MixedReportSink: streaming equivalent of Add, used by the zero-copy
+  /// Decode-sink callbacks: the streaming equivalent of Add, used by the
   /// ingest path. Callers must issue OnReportBegin exactly once per report
-  /// followed by its entries (the wire decoder guarantees this).
-  void OnReportBegin(uint32_t entry_count) override;
-  void OnNumericEntry(uint32_t attribute, double value) override;
-  void OnCategoricalEntry(uint32_t attribute,
-                          const FrequencyOracle::Report& payload) override;
+  /// followed by its entries, every one of them already validated (the wire
+  /// decoder guarantees both). `oracle` is `attribute`'s oracle, typed as
+  /// the concrete class so its AccumulateView inlines.
+  void OnReportBegin(uint32_t /*entry_count*/) { ++num_reports_; }
+  void OnNumericEntry(uint32_t attribute, double value) {
+    ++attribute_reports_[attribute];
+    numeric_sums_[attribute] += QuantizeValue(value);
+  }
+  template <typename Oracle>
+  void OnCategoricalEntry(uint32_t attribute, const Oracle& oracle,
+                          ReportView payload) {
+    ++attribute_reports_[attribute];
+    oracle.AccumulateView(payload, supports_[attribute].data());
+  }
 
   /// Merges another aggregator. The two aggregators must be built from the
   /// same collector or from CompatibleWith collectors (equal schema, budget,

@@ -49,16 +49,6 @@ void NumericAggregator::Add(const SampledNumericReport& report) {
   }
 }
 
-void NumericAggregator::OnReportBegin(uint32_t /*entry_count*/) {
-  ++num_reports_;
-}
-
-void NumericAggregator::OnEntry(uint32_t attribute, double value) {
-  LDP_DCHECK(attribute < mechanism_->dimension());
-  ++attribute_reports_[attribute];
-  sums_[attribute] += QuantizeValue(value);
-}
-
 Status NumericAggregator::Merge(const NumericAggregator& other) {
   if (mechanism_ != other.mechanism_ &&
       (mechanism_->epsilon() != other.mechanism_->epsilon() ||

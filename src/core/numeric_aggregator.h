@@ -1,9 +1,9 @@
 // Server half of Algorithm 4: accumulates SampledNumericReports and produces
 // the paper's mean estimates (the plain average of the implicitly zero-padded
 // reports). This is the numeric-stream counterpart of MixedAggregator: it
-// implements a streaming sink interface so the zero-copy wire decoder
-// (core/wire.h NumericFrameDecoder) can fold a validated frame in without
-// materializing a report, and its accumulated state is an exact integer sum
+// is the sink of the wire decoder (core/wire.h NumericFrameDecoder), which
+// folds a validated frame in without materializing a report, and its
+// accumulated state is an exact integer sum
 // (core/fixed_point.h), so shards aggregated on separate machines merge into
 // the same bits in any order.
 //
@@ -25,24 +25,8 @@
 
 namespace ldp {
 
-/// Streaming consumer of one validated Algorithm-4 report, entry by entry —
-/// the numeric counterpart of MixedReportSink. The wire decoder validates a
-/// whole frame first and then replays its entries, so implementations never
-/// see a partially valid report. NumericAggregator implements this
-/// interface; streaming a report into it is exactly equivalent to Add().
-class NumericReportSink {
- public:
-  virtual ~NumericReportSink() = default;
-
-  /// Called once per report, before any entry, with the entry count.
-  virtual void OnReportBegin(uint32_t entry_count) = 0;
-
-  /// One sampled attribute: the d/k-scaled noisy value.
-  virtual void OnEntry(uint32_t attribute, double value) = 0;
-};
-
 /// Accumulates Algorithm-4 reports and estimates per-attribute means.
-class NumericAggregator : public NumericReportSink {
+class NumericAggregator {
  public:
   /// `mechanism` must outlive the aggregator (it supplies dimension, k, ε —
   /// the compatibility surface for Merge).
@@ -60,11 +44,15 @@ class NumericAggregator : public NumericReportSink {
   /// Folds in one user's report.
   void Add(const SampledNumericReport& report);
 
-  /// NumericReportSink: streaming equivalent of Add, used by the zero-copy
-  /// ingest path. Callers must issue OnReportBegin exactly once per report
-  /// followed by its entries (the wire decoder guarantees this).
-  void OnReportBegin(uint32_t entry_count) override;
-  void OnEntry(uint32_t attribute, double value) override;
+  /// Decode-sink callbacks (core/wire.h NumericFrameDecoder::Decode): the
+  /// streaming equivalent of Add, used by the ingest path. Callers must
+  /// issue OnReportBegin exactly once per report followed by its validated
+  /// entries (the wire decoder guarantees this).
+  void OnReportBegin(uint32_t /*entry_count*/) { ++num_reports_; }
+  void OnEntry(uint32_t attribute, double value) {
+    ++attribute_reports_[attribute];
+    sums_[attribute] += QuantizeValue(value);
+  }
 
   /// Merges another aggregator built from the same or an equivalent
   /// mechanism (equal ε, dimension and k); FailedPrecondition otherwise.

@@ -11,19 +11,12 @@ namespace ldp {
 
 namespace {
 
+using internal_wire::kCategoricalEntry;
+using internal_wire::kNumericEntry;
 using internal_wire::PutF64;
 using internal_wire::PutU16;
 using internal_wire::PutU32;
 using internal_wire::PutU8;
-using internal_wire::Reader;
-
-constexpr uint8_t kNumericEntry = 0;
-constexpr uint8_t kCategoricalEntry = 1;
-
-// Hard cap on staged payload elements per frame, matching the framing
-// layer's 1 MiB frame bound (stream/report_stream.h kMaxFrameBytes / 4);
-// keeps worst-case decoder scratch bounded even for huge schemas.
-constexpr size_t kMaxStagedPayloadElements = (1u << 20) / 4;
 
 }  // namespace
 
@@ -47,59 +40,14 @@ NumericFrameDecoder::NumericFrameDecoder(
   entries_.reserve(mechanism_->k());
 }
 
-Status NumericFrameDecoder::DecodeInto(const char* data, size_t size,
-                                       NumericReportSink* sink) {
-  // Pass 1: parse and validate the whole frame into reused scratch; nothing
-  // reaches the sink until every entry has been vetted.
-  static const auto truncated = [] {
-    return Status::InvalidArgument("truncated report");
-  };
-  entries_.clear();
-  Reader reader(data, size);
-  uint16_t count = 0;
-  if (!reader.TryU16(&count)) return truncated();
-  if (count != mechanism_->k()) {
-    return Status::InvalidArgument("report must carry exactly k entries");
-  }
-  for (uint16_t i = 0; i < count; ++i) {
-    SampledValue entry;
-    if (!reader.TryU32(&entry.attribute)) return truncated();
-    if (!reader.TryF64(&entry.value)) return truncated();
-    if (entry.attribute >= mechanism_->dimension()) {
-      return Status::InvalidArgument("attribute index out of range");
-    }
-    if (!std::isfinite(entry.value) || std::abs(entry.value) > value_bound_) {
-      return Status::InvalidArgument("value outside the mechanism's range");
-    }
-    for (const SampledValue& previous : entries_) {
-      if (previous.attribute == entry.attribute) {
-        return Status::InvalidArgument("duplicate attribute in report");
-      }
-    }
-    entries_.push_back(entry);
-  }
-  if (!reader.AtEnd()) {
-    return Status::InvalidArgument("trailing bytes after report");
-  }
-
-  // Pass 2: the frame is valid; replay it into the sink.
-  sink->OnReportBegin(count);
-  for (const SampledValue& entry : entries_) {
-    sink->OnEntry(entry.attribute, entry.value);
-  }
-  return Status::OK();
-}
-
 namespace {
 
 // Sink that rebuilds the heap-allocated SampledNumericReport representation;
 // the backing store of the classic DecodeSampledNumericReport API.
-class MaterializingNumericSink final : public NumericReportSink {
+class MaterializingNumericSink {
  public:
-  void OnReportBegin(uint32_t entry_count) override {
-    report_.reserve(entry_count);
-  }
-  void OnEntry(uint32_t attribute, double value) override {
+  void OnReportBegin(uint32_t entry_count) { report_.reserve(entry_count); }
+  void OnEntry(uint32_t attribute, double value) {
     report_.push_back(SampledValue{attribute, value});
   }
 
@@ -162,113 +110,42 @@ MixedFrameDecoder::MixedFrameDecoder(const MixedTupleCollector* collector)
       value_bound_(
           ScaledValueBound(collector->dimension(), collector->k(),
                            collector->scalar_mechanism().OutputBound())) {
-  // Pre-reserve all scratch for the collector's worst-case report, so even
-  // the very first frame decodes without touching the heap.
-  size_t max_entry_payload = 0;
-  for (uint32_t j = 0; j < collector_->dimension(); ++j) {
-    const FrequencyOracle* oracle = collector_->oracle_for(j);
-    if (oracle != nullptr) {
-      max_entry_payload = std::max(max_entry_payload, oracle->MaxReportSize());
-    }
-  }
-  max_entry_payload = std::min(max_entry_payload, kMaxStagedPayloadElements);
   entries_.reserve(collector_->k());
-  payload_slots_.resize(collector_->k());
-  for (FrequencyOracle::Report& slot : payload_slots_) {
-    slot.reserve(max_entry_payload);
-  }
 }
+
+namespace {
+
+// Presents a MixedReportSink as a Decode sink: the categorical payload view
+// is copied into a reused Report for the sink's const Report& callback.
+class ReportSinkAdapter {
+ public:
+  explicit ReportSinkAdapter(MixedReportSink* sink) : sink_(sink) {}
+
+  void OnReportBegin(uint32_t entry_count) {
+    sink_->OnReportBegin(entry_count);
+  }
+  void OnNumericEntry(uint32_t attribute, double value) {
+    sink_->OnNumericEntry(attribute, value);
+  }
+  void OnCategoricalEntry(uint32_t attribute, const FrequencyOracle& /*oracle*/,
+                          ReportView payload) {
+    payload_.resize(payload.size());
+    for (size_t i = 0; i < payload.size(); ++i) payload_[i] = payload[i];
+    sink_->OnCategoricalEntry(attribute, payload_);
+  }
+
+ private:
+  MixedReportSink* sink_;
+  FrequencyOracle::Report payload_;
+};
+
+}  // namespace
 
 Status MixedFrameDecoder::DecodeInto(const char* data, size_t size,
                                      MixedReportSink* sink) {
-  // Pass 1: parse and validate the whole frame into reused scratch. Nothing
-  // reaches the sink until every entry has been vetted, preserving the
-  // all-or-nothing rejection semantics of the materializing decoder.
-  static const auto truncated = [] {
-    return Status::InvalidArgument("truncated report");
-  };
-  entries_.clear();
-  Reader reader(data, size);
-  uint16_t count = 0;
-  if (!reader.TryU16(&count)) return truncated();
-  if (count != collector_->k()) {
-    return Status::InvalidArgument("report must carry exactly k entries");
-  }
-  for (uint16_t i = 0; i < count; ++i) {
-    PendingEntry entry;
-    if (!reader.TryU32(&entry.attribute)) return truncated();
-    if (entry.attribute >= collector_->dimension()) {
-      return Status::InvalidArgument("attribute index out of range");
-    }
-    const MixedAttribute& spec = collector_->schema()[entry.attribute];
-    uint8_t kind = 0;
-    if (!reader.TryU8(&kind)) return truncated();
-    if (kind == kNumericEntry) {
-      if (spec.type != AttributeType::kNumeric) {
-        return Status::InvalidArgument("numeric entry for categorical attribute");
-      }
-      entry.numeric = true;
-      if (!reader.TryF64(&entry.numeric_value)) return truncated();
-      if (!std::isfinite(entry.numeric_value) ||
-          std::abs(entry.numeric_value) > value_bound_) {
-        return Status::InvalidArgument("value outside the mechanism's range");
-      }
-    } else if (kind == kCategoricalEntry) {
-      if (spec.type != AttributeType::kCategorical) {
-        return Status::InvalidArgument("categorical entry for numeric attribute");
-      }
-      const FrequencyOracle* oracle = collector_->oracle_for(entry.attribute);
-      uint16_t payload_count = 0;
-      if (!reader.TryU16(&payload_count)) return truncated();
-      // Shape bound before buffering a single element: a hostile length can
-      // neither bloat the scratch nor cost parse work beyond the oracle's
-      // own maximum.
-      if (payload_count > oracle->MaxReportSize()) {
-        return Status::InvalidArgument(
-            "oracle payload longer than the oracle can emit");
-      }
-      const char* raw = reader.TakeBytes(4 * static_cast<size_t>(payload_count));
-      if (raw == nullptr) return truncated();
-      FrequencyOracle::Report& payload = payload_slots_[i];
-      payload.resize(payload_count);
-#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
-      for (uint16_t p = 0; p < payload_count; ++p) {
-        payload[p] = internal_wire::LoadLittleEndian<uint32_t>(raw + 4 * p);
-      }
-#else
-      if (payload_count > 0) {
-        std::memcpy(payload.data(), raw,
-                    4 * static_cast<size_t>(payload_count));
-      }
-#endif
-      // Oracle-specific shape/range validation: without it a hostile
-      // payload could make the aggregator's Accumulate index out of
-      // bounds (the oracles only LDP_DCHECK their inputs).
-      LDP_RETURN_IF_ERROR(oracle->ValidateReport(payload));
-    } else {
-      return Status::InvalidArgument("unknown entry kind");
-    }
-    for (const PendingEntry& previous : entries_) {
-      if (previous.attribute == entry.attribute) {
-        return Status::InvalidArgument("duplicate attribute in report");
-      }
-    }
-    entries_.push_back(entry);
-  }
-  if (!reader.AtEnd()) {
-    return Status::InvalidArgument("trailing bytes after report");
-  }
-
-  // Pass 2: the frame is valid; replay it into the sink.
-  sink->OnReportBegin(count);
-  for (size_t i = 0; i < entries_.size(); ++i) {
-    const PendingEntry& entry = entries_[i];
-    if (entry.numeric) {
-      sink->OnNumericEntry(entry.attribute, entry.numeric_value);
-    } else {
-      sink->OnCategoricalEntry(entry.attribute, payload_slots_[i]);
-    }
-  }
+  ReportSinkAdapter adapter(sink);
+  const char* rejection = Decode<FrequencyOracle>(data, size, &adapter);
+  if (rejection != nullptr) return Status::InvalidArgument(rejection);
   return Status::OK();
 }
 

@@ -8,6 +8,7 @@
 #include "frequency/olh.h"
 #include "frequency/oue.h"
 #include "frequency/sue.h"
+#include "util/check.h"
 
 namespace ldp {
 
@@ -62,6 +63,42 @@ Result<std::unique_ptr<FrequencyOracle>> MakeFrequencyOracle(
     return Status::InvalidArgument("unknown frequency oracle kind");
   }
   return oracle;
+}
+
+namespace {
+
+// The wire (little-endian) view of an in-memory report. Big-endian hosts
+// byte-swap the words into `scratch` first.
+ReportView WireViewOf(const FrequencyOracle::Report& report,
+                      FrequencyOracle::Report* scratch) {
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+  scratch->resize(report.size());
+  for (size_t i = 0; i < report.size(); ++i) {
+    (*scratch)[i] = __builtin_bswap32(report[i]);
+  }
+  return ReportView(reinterpret_cast<const char*>(scratch->data()),
+                    scratch->size());
+#else
+  (void)scratch;
+  return ReportView(reinterpret_cast<const char*>(report.data()),
+                    report.size());
+#endif
+}
+
+}  // namespace
+
+Status FrequencyOracle::ValidateReport(const Report& report) const {
+  Report scratch;
+  const char* rejection = ValidateView(WireViewOf(report, &scratch));
+  if (rejection != nullptr) return Status::InvalidArgument(rejection);
+  return Status::OK();
+}
+
+void FrequencyOracle::Accumulate(const Report& report,
+                                 std::vector<uint64_t>* support) const {
+  LDP_DCHECK(support->size() == domain_size());
+  Report scratch;
+  AccumulateView(WireViewOf(report, &scratch), support->data());
 }
 
 namespace internal_frequency {

@@ -8,8 +8,12 @@
 // routes each sampled categorical attribute through an oracle at budget ε/k.
 //
 // The protocol is split into the client half (Perturb) and the server half
-// (Accumulate + Estimate) so that simulation harnesses can route reports
-// through arbitrary collection topologies. All four oracles from the
+// (ValidateView + AccumulateView + Estimate) so that simulation harnesses
+// can route reports through arbitrary collection topologies. The server
+// half reads a report where it arrived, as little-endian words inside a
+// wire frame (ReportView), so ingest never copies a payload; the concrete
+// oracle classes define these rules inline and final, so a caller holding
+// the concrete type gets them inlined. All four oracles from the
 // literature are provided: GRR (generalized randomized response), SUE (basic
 // RAPPOR), OUE (optimized unary encoding — the paper's choice), and OLH
 // (optimized local hashing).
@@ -17,7 +21,9 @@
 #ifndef LDP_FREQUENCY_FREQUENCY_ORACLE_H_
 #define LDP_FREQUENCY_FREQUENCY_ORACLE_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -40,6 +46,30 @@ enum class FrequencyOracleKind {
 /// Human-readable oracle name ("GRR", "SUE", "OUE", "OLH", "HE", "THE").
 const char* FrequencyOracleKindToString(FrequencyOracleKind kind);
 
+/// A read-only view of one oracle report's payload as it sits in a wire
+/// frame: `size` little-endian uint32 words at `bytes`, with no alignment
+/// assumed. The server validates and accumulates reports through this view,
+/// straight from the received bytes, without copying them into a Report.
+class ReportView {
+ public:
+  ReportView(const char* bytes, size_t size) : bytes_(bytes), size_(size) {}
+
+  size_t size() const { return size_; }
+
+  uint32_t operator[](size_t i) const {
+    uint32_t word;
+    std::memcpy(&word, bytes_ + 4 * i, sizeof(word));
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+    word = __builtin_bswap32(word);
+#endif
+    return word;
+  }
+
+ private:
+  const char* bytes_;
+  size_t size_;
+};
+
 /// An ε-LDP randomizer for one categorical value with domain {0, ..., k-1}.
 ///
 /// Thread-safety: instances are immutable after construction; Perturb only
@@ -58,23 +88,29 @@ class FrequencyOracle {
   /// Produces the privatized report for true value `value` (< domain_size).
   virtual Report Perturb(uint32_t value, Rng* rng) const = 0;
 
-  /// Folds one report into per-value support counts. `support` must have
+  /// Checks that `report` is structurally valid for this oracle — the shape
+  /// and value ranges Perturb can actually emit — so that AccumulateView
+  /// cannot index out of bounds or double-count. This is the server-side
+  /// guard for reports arriving over the wire (core/wire.h runs it on every
+  /// categorical entry of a frame); it does not (and cannot) detect a lying
+  /// client whose report is merely improbable. Returns null when valid, else
+  /// a static rejection message (no Status is built on the accept path).
+  virtual const char* ValidateView(ReportView report) const = 0;
+
+  /// Folds one report into per-value support counts: `support` points at
   /// domain_size() entries; entry v counts reports consistent with value v
   /// (HE adds its fixed-point component instead). Supports are integers, so
-  /// accumulating and merging them is exact in any order.
-  /// The report must be well-formed for this oracle (callers ingesting
-  /// untrusted bytes run ValidateReport first; reports produced by Perturb
-  /// are always well-formed).
-  virtual void Accumulate(const Report& report,
-                          std::vector<uint64_t>* support) const = 0;
+  /// accumulating and merging them is exact in any order. The report must
+  /// have passed ValidateView (reports produced by Perturb always do).
+  virtual void AccumulateView(ReportView report, uint64_t* support) const = 0;
 
-  /// Checks that `report` is structurally valid for this oracle — the shape
-  /// and value ranges Perturb can actually emit — so that Accumulate cannot
-  /// index out of bounds or double-count. This is the server-side guard for
-  /// reports arriving over the wire (core/wire.h runs it during decode);
-  /// it does not (and cannot) detect a lying client whose report is merely
-  /// improbable.
-  virtual Status ValidateReport(const Report& report) const = 0;
+  /// ValidateView over an in-memory report, as a Status (InvalidArgument
+  /// carrying the rejection message).
+  Status ValidateReport(const Report& report) const;
+
+  /// AccumulateView over an in-memory report; `support` must have
+  /// domain_size() entries.
+  void Accumulate(const Report& report, std::vector<uint64_t>* support) const;
 
   /// Turns support counts over `num_reports` reports into unbiased frequency
   /// estimates, one per domain value. Estimates may fall outside [0, 1];
@@ -86,12 +122,11 @@ class FrequencyOracle {
   /// is `f` and `num_reports` reports were collected.
   virtual double EstimateVariance(double f, uint64_t num_reports) const = 0;
 
-  /// Upper bound on the payload length ValidateReport can accept (and Perturb
-  /// can emit). The wire decoder rejects longer payloads before buffering a
-  /// single element, which both caps decoder scratch memory and lets the
-  /// zero-copy ingest path pre-reserve for the worst case. Defaults to the
-  /// domain size (unary and histogram encodings); constant-size oracles
-  /// override it.
+  /// Upper bound on the payload length ValidateView can accept (and Perturb
+  /// can emit). The wire decoder rejects longer payloads before reading a
+  /// single element, so a hostile length costs no parse work beyond the
+  /// oracle's own maximum. Defaults to the domain size (unary and histogram
+  /// encodings); constant-size oracles override it.
   virtual size_t MaxReportSize() const { return domain_size_; }
 
   /// Short oracle name for reports.

@@ -27,24 +27,6 @@ FrequencyOracle::Report GrrOracle::Perturb(uint32_t value, Rng* rng) const {
   return {other};
 }
 
-void GrrOracle::Accumulate(const Report& report,
-                           std::vector<uint64_t>* support) const {
-  LDP_DCHECK(report.size() == 1);
-  LDP_DCHECK(support->size() == domain_size());
-  LDP_DCHECK(report[0] < domain_size());
-  ++(*support)[report[0]];
-}
-
-Status GrrOracle::ValidateReport(const Report& report) const {
-  if (report.size() != 1) {
-    return Status::InvalidArgument("GRR report must carry exactly one value");
-  }
-  if (report[0] >= domain_size()) {
-    return Status::InvalidArgument("GRR report value outside the domain");
-  }
-  return Status::OK();
-}
-
 std::vector<double> GrrOracle::Estimate(const std::vector<uint64_t>& support,
                                         uint64_t num_reports) const {
   LDP_DCHECK(support.size() == domain_size());

@@ -19,9 +19,16 @@ class GrrOracle final : public FrequencyOracle {
   GrrOracle(double epsilon, uint32_t domain_size);
 
   Report Perturb(uint32_t value, Rng* rng) const override;
-  void Accumulate(const Report& report,
-                  std::vector<uint64_t>* support) const override;
-  Status ValidateReport(const Report& report) const override;
+  const char* ValidateView(ReportView report) const override {
+    if (report.size() != 1) return "GRR report must carry exactly one value";
+    if (report[0] >= domain_size()) {
+      return "GRR report value outside the domain";
+    }
+    return nullptr;
+  }
+  void AccumulateView(ReportView report, uint64_t* support) const override {
+    ++support[report[0]];
+  }
   std::vector<double> Estimate(const std::vector<uint64_t>& support,
                                uint64_t num_reports) const override;
   double EstimateVariance(double f, uint64_t num_reports) const override;

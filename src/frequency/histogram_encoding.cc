@@ -42,23 +42,6 @@ FrequencyOracle::Report HeOracle::Perturb(uint32_t value, Rng* rng) const {
   return packed;
 }
 
-void HeOracle::Accumulate(const Report& report,
-                          std::vector<uint64_t>* support) const {
-  LDP_DCHECK(report.size() == domain_size());
-  LDP_DCHECK(support->size() == domain_size());
-  for (uint32_t v = 0; v < domain_size(); ++v) {
-    (*support)[v] += report[v];
-  }
-}
-
-Status HeOracle::ValidateReport(const Report& report) const {
-  if (report.size() != domain_size()) {
-    return Status::InvalidArgument(
-        "HE report must carry one component per domain value");
-  }
-  return Status::OK();
-}
-
 std::vector<double> HeOracle::Estimate(const std::vector<uint64_t>& support,
                                        uint64_t num_reports) const {
   LDP_DCHECK(support.size() == domain_size());
@@ -133,31 +116,6 @@ FrequencyOracle::Report TheOracle::Perturb(uint32_t value, Rng* rng) const {
     }
   }
   return set_bits;
-}
-
-void TheOracle::Accumulate(const Report& report,
-                           std::vector<uint64_t>* support) const {
-  LDP_DCHECK(support->size() == domain_size());
-  for (const uint32_t bit : report) {
-    LDP_DCHECK(bit < domain_size());
-    ++(*support)[bit];
-  }
-}
-
-Status TheOracle::ValidateReport(const Report& report) const {
-  if (report.size() > domain_size()) {
-    return Status::InvalidArgument("THE report has more bits than the domain");
-  }
-  for (size_t i = 0; i < report.size(); ++i) {
-    if (report[i] >= domain_size()) {
-      return Status::InvalidArgument("THE report bit outside the domain");
-    }
-    if (i > 0 && report[i] <= report[i - 1]) {
-      return Status::InvalidArgument(
-          "THE report bits must be strictly increasing");
-    }
-  }
-  return Status::OK();
 }
 
 std::vector<double> TheOracle::Estimate(const std::vector<uint64_t>& support,

@@ -39,9 +39,15 @@ class HeOracle final : public FrequencyOracle {
   HeOracle(double epsilon, uint32_t domain_size);
 
   Report Perturb(uint32_t value, Rng* rng) const override;
-  void Accumulate(const Report& report,
-                  std::vector<uint64_t>* support) const override;
-  Status ValidateReport(const Report& report) const override;
+  const char* ValidateView(ReportView report) const override {
+    if (report.size() != domain_size()) {
+      return "HE report must carry one component per domain value";
+    }
+    return nullptr;
+  }
+  void AccumulateView(ReportView report, uint64_t* support) const override {
+    for (uint32_t v = 0; v < domain_size(); ++v) support[v] += report[v];
+  }
   std::vector<double> Estimate(const std::vector<uint64_t>& support,
                                uint64_t num_reports) const override;
   double EstimateVariance(double f, uint64_t num_reports) const override;
@@ -64,9 +70,21 @@ class TheOracle final : public FrequencyOracle {
   TheOracle(double epsilon, uint32_t domain_size, double theta);
 
   Report Perturb(uint32_t value, Rng* rng) const override;
-  void Accumulate(const Report& report,
-                  std::vector<uint64_t>* support) const override;
-  Status ValidateReport(const Report& report) const override;
+  const char* ValidateView(ReportView report) const override {
+    if (report.size() > domain_size()) {
+      return "THE report has more bits than the domain";
+    }
+    for (size_t i = 0; i < report.size(); ++i) {
+      if (report[i] >= domain_size()) return "THE report bit outside the domain";
+      if (i > 0 && report[i] <= report[i - 1]) {
+        return "THE report bits must be strictly increasing";
+      }
+    }
+    return nullptr;
+  }
+  void AccumulateView(ReportView report, uint64_t* support) const override {
+    for (size_t i = 0; i < report.size(); ++i) ++support[report[i]];
+  }
   std::vector<double> Estimate(const std::vector<uint64_t>& support,
                                uint64_t num_reports) const override;
   double EstimateVariance(double f, uint64_t num_reports) const override;

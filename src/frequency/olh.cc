@@ -17,17 +17,6 @@ OlhOracle::OlhOracle(double epsilon, uint32_t domain_size)
   p_ = e_eps / (e_eps + static_cast<double>(hash_range_) - 1.0);
 }
 
-uint32_t OlhOracle::HashToBucket(uint64_t seed, uint32_t value,
-                                 uint32_t range) {
-  // SplitMix64 finalizer over the seed/value combination: cheap, stateless,
-  // and high-quality enough that bucket collisions behave as uniform.
-  uint64_t z = seed ^ (0x9e3779b97f4a7c15ULL * (static_cast<uint64_t>(value) + 1));
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  z = z ^ (z >> 31);
-  return static_cast<uint32_t>(z % range);
-}
-
 FrequencyOracle::Report OlhOracle::Perturb(uint32_t value, Rng* rng) const {
   LDP_DCHECK(value < domain_size());
   const uint64_t seed = rng->Next();
@@ -40,31 +29,6 @@ FrequencyOracle::Report OlhOracle::Perturb(uint32_t value, Rng* rng) const {
   }
   return {static_cast<uint32_t>(seed & 0xffffffffULL),
           static_cast<uint32_t>(seed >> 32), bucket};
-}
-
-void OlhOracle::Accumulate(const Report& report,
-                           std::vector<uint64_t>* support) const {
-  LDP_DCHECK(report.size() == 3);
-  LDP_DCHECK(support->size() == domain_size());
-  const uint64_t seed = static_cast<uint64_t>(report[0]) |
-                        (static_cast<uint64_t>(report[1]) << 32);
-  const uint32_t bucket = report[2];
-  for (uint32_t v = 0; v < domain_size(); ++v) {
-    if (HashToBucket(seed, v, hash_range_) == bucket) {
-      ++(*support)[v];
-    }
-  }
-}
-
-Status OlhOracle::ValidateReport(const Report& report) const {
-  if (report.size() != 3) {
-    return Status::InvalidArgument(
-        "OLH report must carry {seed_lo, seed_hi, bucket}");
-  }
-  if (report[2] >= hash_range_) {
-    return Status::InvalidArgument("OLH report bucket outside the hash range");
-  }
-  return Status::OK();
 }
 
 std::vector<double> OlhOracle::Estimate(const std::vector<uint64_t>& support,

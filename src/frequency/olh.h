@@ -19,9 +19,23 @@ class OlhOracle final : public FrequencyOracle {
   OlhOracle(double epsilon, uint32_t domain_size);
 
   Report Perturb(uint32_t value, Rng* rng) const override;
-  void Accumulate(const Report& report,
-                  std::vector<uint64_t>* support) const override;
-  Status ValidateReport(const Report& report) const override;
+  const char* ValidateView(ReportView report) const override {
+    if (report.size() != 3) {
+      return "OLH report must carry {seed_lo, seed_hi, bucket}";
+    }
+    if (report[2] >= hash_range_) {
+      return "OLH report bucket outside the hash range";
+    }
+    return nullptr;
+  }
+  void AccumulateView(ReportView report, uint64_t* support) const override {
+    const uint64_t seed = static_cast<uint64_t>(report[0]) |
+                          (static_cast<uint64_t>(report[1]) << 32);
+    const uint32_t bucket = report[2];
+    for (uint32_t v = 0; v < domain_size(); ++v) {
+      if (HashToBucket(seed, v, hash_range_) == bucket) ++support[v];
+    }
+  }
   std::vector<double> Estimate(const std::vector<uint64_t>& support,
                                uint64_t num_reports) const override;
   double EstimateVariance(double f, uint64_t num_reports) const override;
@@ -41,7 +55,17 @@ class OlhOracle final : public FrequencyOracle {
 
   /// The deterministic seeded hash used by both protocol halves: maps
   /// (seed, value) to a bucket in [0, range).
-  static uint32_t HashToBucket(uint64_t seed, uint32_t value, uint32_t range);
+  static uint32_t HashToBucket(uint64_t seed, uint32_t value, uint32_t range) {
+    // SplitMix64 finalizer over the seed/value combination: cheap,
+    // stateless, and high-quality enough that bucket collisions behave as
+    // uniform.
+    uint64_t z =
+        seed ^ (0x9e3779b97f4a7c15ULL * (static_cast<uint64_t>(value) + 1));
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    z = z ^ (z >> 31);
+    return static_cast<uint32_t>(z % range);
+  }
 
  private:
   uint32_t hash_range_;

@@ -60,31 +60,6 @@ FrequencyOracle::Report UnaryEncodingOracle::PerturbSkip(uint32_t value,
   return set_bits;
 }
 
-void UnaryEncodingOracle::Accumulate(const Report& report,
-                                     std::vector<uint64_t>* support) const {
-  LDP_DCHECK(support->size() == domain_size());
-  for (const uint32_t bit : report) {
-    LDP_DCHECK(bit < domain_size());
-    ++(*support)[bit];
-  }
-}
-
-Status UnaryEncodingOracle::ValidateReport(const Report& report) const {
-  if (report.size() > domain_size()) {
-    return Status::InvalidArgument("unary report has more bits than the domain");
-  }
-  for (size_t i = 0; i < report.size(); ++i) {
-    if (report[i] >= domain_size()) {
-      return Status::InvalidArgument("unary report bit outside the domain");
-    }
-    if (i > 0 && report[i] <= report[i - 1]) {
-      return Status::InvalidArgument(
-          "unary report bits must be strictly increasing");
-    }
-  }
-  return Status::OK();
-}
-
 std::vector<double> UnaryEncodingOracle::Estimate(
     const std::vector<uint64_t>& support, uint64_t num_reports) const {
   LDP_DCHECK(support.size() == domain_size());

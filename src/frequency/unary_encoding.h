@@ -44,9 +44,26 @@ class UnaryEncodingOracle : public FrequencyOracle {
   /// consumption).
   Report PerturbSkip(uint32_t value, Rng* rng) const;
 
-  void Accumulate(const Report& report,
-                  std::vector<uint64_t>* support) const override;
-  Status ValidateReport(const Report& report) const override;
+  // Final here so the ingest path, which holds the oracle as a
+  // UnaryEncodingOracle (OUE and SUE share these rules), calls them directly.
+  const char* ValidateView(ReportView report) const final {
+    if (report.size() > domain_size()) {
+      return "unary report has more bits than the domain";
+    }
+    for (size_t i = 0; i < report.size(); ++i) {
+      if (report[i] >= domain_size()) {
+        return "unary report bit outside the domain";
+      }
+      if (i > 0 && report[i] <= report[i - 1]) {
+        return "unary report bits must be strictly increasing";
+      }
+    }
+    return nullptr;
+  }
+  void AccumulateView(ReportView report, uint64_t* support) const final {
+    for (size_t i = 0; i < report.size(); ++i) ++support[report[i]];
+  }
+  size_t MaxReportSize() const final { return domain_size(); }
   std::vector<double> Estimate(const std::vector<uint64_t>& support,
                                uint64_t num_reports) const override;
   double EstimateVariance(double f, uint64_t num_reports) const override;

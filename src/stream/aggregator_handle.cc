@@ -2,9 +2,51 @@
 
 #include <utility>
 
+#include "frequency/grr.h"
+#include "frequency/histogram_encoding.h"
+#include "frequency/olh.h"
+#include "frequency/unary_encoding.h"
 #include "stream/snapshot.h"
 
 namespace ldp::stream {
+
+namespace {
+
+// The frame walk shared by both handles: `decode(payload, length)` returns
+// null when it folded the frame in, else the rejection reason.
+template <typename Decode>
+FrameRun AcceptWholeFrames(const char* data, size_t size, Decode decode) {
+  FrameRun run;
+  for (;;) {
+    const size_t available = size - run.consumed;
+    if (available < 4) return run;
+    const char* frame = data + run.consumed;
+    const uint32_t length = internal_wire::LoadLittleEndian<uint32_t>(frame);
+    if (length > kMaxFrameBytes || available - 4 < length) return run;
+    run.consumed += 4 + static_cast<size_t>(length);
+    const char* rejection = decode(frame + 4, length);
+    if (rejection != nullptr) {
+      run.rejection = rejection;
+      return run;
+    }
+    ++run.accepted;
+  }
+}
+
+// A run of mixed frames decoded under the rules of `Oracle`, the concrete
+// class of the collector's categorical oracles, so its checks and adds
+// inline.
+template <typename Oracle>
+FrameRun AcceptMixedFrames(const char* data, size_t size,
+                           MixedFrameDecoder* decoder,
+                           MixedAggregator* aggregator) {
+  return AcceptWholeFrames(
+      data, size, [&](const char* payload, uint32_t length) {
+        return decoder->Decode<Oracle>(payload, length, aggregator);
+      });
+}
+
+}  // namespace
 
 MixedAggregatorHandle::MixedAggregatorHandle(
     const MixedTupleCollector* collector)
@@ -15,10 +57,25 @@ Status MixedAggregatorHandle::ValidateHeader(
   return ValidateMixedStreamHeader(header, *aggregator_.collector());
 }
 
-Status MixedAggregatorHandle::AcceptFrame(const char* data, size_t size) {
-  // The aggregator is its own sink: entries stream straight from the wire
-  // bytes into the accumulation arrays, with no MixedReport materialized.
-  return decoder_.DecodeInto(data, size, &aggregator_);
+FrameRun MixedAggregatorHandle::AcceptFrames(const char* data, size_t size) {
+  // One switch on the oracle kind per run; the aggregator is the decoder's
+  // sink, so entries go straight from the wire bytes into its arrays.
+  switch (aggregator_.collector()->categorical_kind()) {
+    case FrequencyOracleKind::kGrr:
+      return AcceptMixedFrames<GrrOracle>(data, size, &decoder_, &aggregator_);
+    case FrequencyOracleKind::kSue:
+    case FrequencyOracleKind::kOue:  // OUE and SUE share the unary rules
+      return AcceptMixedFrames<UnaryEncodingOracle>(data, size, &decoder_,
+                                                    &aggregator_);
+    case FrequencyOracleKind::kOlh:
+      return AcceptMixedFrames<OlhOracle>(data, size, &decoder_, &aggregator_);
+    case FrequencyOracleKind::kHe:
+      return AcceptMixedFrames<HeOracle>(data, size, &decoder_, &aggregator_);
+    case FrequencyOracleKind::kThe:
+      return AcceptMixedFrames<TheOracle>(data, size, &decoder_, &aggregator_);
+  }
+  return AcceptMixedFrames<FrequencyOracle>(data, size, &decoder_,
+                                            &aggregator_);
 }
 
 Status MixedAggregatorHandle::Merge(const AggregatorHandle& other) {
@@ -66,8 +123,12 @@ Status NumericAggregatorHandle::ValidateHeader(
                                      mechanism_kind_);
 }
 
-Status NumericAggregatorHandle::AcceptFrame(const char* data, size_t size) {
-  return decoder_.DecodeInto(data, size, &aggregator_);
+FrameRun NumericAggregatorHandle::AcceptFrames(const char* data,
+                                               size_t size) {
+  return AcceptWholeFrames(
+      data, size, [this](const char* payload, uint32_t length) {
+        return decoder_.Decode(payload, length, &aggregator_);
+      });
 }
 
 Status NumericAggregatorHandle::Merge(const AggregatorHandle& other) {

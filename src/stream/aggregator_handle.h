@@ -1,10 +1,18 @@
 // AggregatorHandle: the polymorphic server-side aggregation surface that
 // lets one stream stack (ShardIngester and the Pipeline sessions) serve
 // every report-stream kind the wire header can carry. A handle owns one
-// shard-or-epoch's worth of accumulated state and knows how
-// to validate a stream header against its protocol, decode-and-fold one
-// frame payload (zero-copy, via the kind's streaming frame decoder), merge a
-// compatible handle or encoded snapshot, and answer estimate queries.
+// shard-or-epoch's worth of accumulated state and knows how to validate a
+// stream header against its protocol, decode-and-fold a run of whole frames,
+// merge a compatible handle or encoded snapshot, and answer estimate
+// queries.
+//
+// Frames are accepted a chunk at a time: AcceptFrames is the only virtual
+// call on the ingest path, made once per run of whole frames. Inside it the
+// mixed handle switches on the collector's oracle kind once and then runs
+// the wire decoder (core/wire.h) over the concrete oracle class with the
+// aggregator as its sink, so each frame is validated on its wire bytes and
+// added straight into the aggregate's integer arrays — no per-frame virtual
+// call, payload copy or Status.
 //
 // Two implementations exist, mirroring the paper's two collection paths:
 // MixedAggregatorHandle (Section IV-C mixed tuples over MixedAggregator) and
@@ -33,6 +41,18 @@ namespace ldp::stream {
 class MixedAggregatorHandle;
 class NumericAggregatorHandle;
 
+/// What one AcceptFrames call did with a run of frames.
+struct FrameRun {
+  /// Bytes of whole frames taken, length prefixes and a rejected frame
+  /// included.
+  size_t consumed = 0;
+  /// Frames folded into the aggregate.
+  uint64_t accepted = 0;
+  /// Null, or the static reason the run's last frame was rejected (the
+  /// run stops right after it; nothing of that frame was folded in).
+  const char* rejection = nullptr;
+};
+
 /// One shard's (or epoch's) aggregation state, behind the stream kind.
 ///
 /// Thread-compatibility: not internally synchronised; one handle per
@@ -48,10 +68,13 @@ class AggregatorHandle {
   /// (kind, ε, dimension, k, mechanism/oracle kinds, schema hash).
   virtual Status ValidateHeader(const StreamHeader& header) const = 0;
 
-  /// Decodes one frame payload in place and folds the report in. All-or-
-  /// nothing: on error no state changes. Zero heap allocations in steady
-  /// state for both kinds.
-  virtual Status AcceptFrame(const char* data, size_t size) = 0;
+  /// Decodes the whole frames (`u32 length` + payload) at the start of
+  /// `data` in place and folds each valid report in. Stops before the first
+  /// frame that is cut short by `size` or whose length exceeds
+  /// kMaxFrameBytes (the caller owns framing), and right after the first
+  /// rejected frame, which changes no state (all-or-nothing). Zero heap
+  /// allocations.
+  virtual FrameRun AcceptFrames(const char* data, size_t size) = 0;
 
   /// Merges another handle of the same kind built from a compatible
   /// protocol; FailedPrecondition otherwise.
@@ -84,7 +107,8 @@ class AggregatorHandle {
   virtual const NumericAggregatorHandle* AsNumeric() const { return nullptr; }
 };
 
-/// Section IV-C mixed streams: MixedFrameDecoder → MixedAggregator.
+/// Section IV-C mixed streams: MixedFrameDecoder::Decode<Oracle> →
+/// MixedAggregator.
 class MixedAggregatorHandle final : public AggregatorHandle {
  public:
   /// `collector` must outlive the handle.
@@ -92,7 +116,7 @@ class MixedAggregatorHandle final : public AggregatorHandle {
 
   ReportStreamKind kind() const override { return ReportStreamKind::kMixed; }
   Status ValidateHeader(const StreamHeader& header) const override;
-  Status AcceptFrame(const char* data, size_t size) override;
+  FrameRun AcceptFrames(const char* data, size_t size) override;
   Status Merge(const AggregatorHandle& other) override;
   std::unique_ptr<AggregatorHandle> CloneEmpty() const override;
   std::string EncodeSnapshot() const override;
@@ -111,7 +135,8 @@ class MixedAggregatorHandle final : public AggregatorHandle {
   MixedFrameDecoder decoder_;
 };
 
-/// Algorithm-4 numeric streams: NumericFrameDecoder → NumericAggregator.
+/// Algorithm-4 numeric streams: NumericFrameDecoder::Decode →
+/// NumericAggregator.
 class NumericAggregatorHandle final : public AggregatorHandle {
  public:
   /// `mechanism` must outlive the handle; `kind` names the scalar mechanism
@@ -123,7 +148,7 @@ class NumericAggregatorHandle final : public AggregatorHandle {
     return ReportStreamKind::kSampledNumeric;
   }
   Status ValidateHeader(const StreamHeader& header) const override;
-  Status AcceptFrame(const char* data, size_t size) override;
+  FrameRun AcceptFrames(const char* data, size_t size) override;
   Status Merge(const AggregatorHandle& other) override;
   std::unique_ptr<AggregatorHandle> CloneEmpty() const override;
   std::string EncodeSnapshot() const override;

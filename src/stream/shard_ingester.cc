@@ -58,25 +58,18 @@ size_t ShardIngester::NeedBytes() const {
       return kStreamHeaderBytes;
     case State::kFrameLength:
       return 4;
-    case State::kFramePayload:
-      return frame_length_;
+    case State::kFrame:
+      return 4 + static_cast<size_t>(frame_length_);
   }
   return 0;  // unreachable
 }
 
-Status ShardIngester::AcceptFrame(const char* data, size_t size) {
+Status ShardIngester::Reject(const char* reason) {
   ++stats_.frames;
-  // The handle streams entries straight from the wire bytes into its
-  // accumulation arrays, with no report materialized.
-  const Status decoded = handle_->AcceptFrame(data, size);
-  if (decoded.ok()) {
-    ++stats_.accepted;
-    return Status::OK();
-  }
   ++stats_.rejected;
   if (options_.strict) {
     return Poison(Status::InvalidArgument(
-        "undecodable report in strict mode: " + decoded.message()));
+        std::string("undecodable report in strict mode: ") + reason));
   }
   if (stats_.rejected > options_.max_rejected) {
     return Poison(Status::InvalidArgument(
@@ -85,26 +78,38 @@ Status ShardIngester::AcceptFrame(const char* data, size_t size) {
   return Status::OK();
 }
 
-Status ShardIngester::ConsumeItem(const char* data, size_t size) {
-  if (state_ == State::kHeader) {
-    Result<StreamHeader> header = DecodeStreamHeader(data, size);
-    if (!header.ok()) return Poison(header.status());
-    const Status match = handle_->ValidateHeader(header.value());
-    if (!match.ok()) return Poison(match);
-    header_ = header.value();
-    state_ = State::kFrameLength;
-  } else if (state_ == State::kFrameLength) {
-    const uint32_t length = internal_wire::LoadLittleEndian<uint32_t>(data);
-    if (length > kMaxFrameBytes) {
-      return Poison(Status::InvalidArgument(
-          "frame length exceeds kMaxFrameBytes"));
-    }
-    frame_length_ = length;
-    state_ = State::kFramePayload;
-  } else {  // kFramePayload
-    state_ = State::kFrameLength;
-    LDP_RETURN_IF_ERROR(AcceptFrame(data, size));
+Status ShardIngester::AcceptFrames(const char* data, size_t size,
+                                   size_t* consumed) {
+  *consumed = 0;
+  for (;;) {
+    const FrameRun run =
+        handle_->AcceptFrames(data + *consumed, size - *consumed);
+    *consumed += run.consumed;
+    stats_.frames += run.accepted;
+    stats_.accepted += run.accepted;
+    if (run.rejection == nullptr) return Status::OK();
+    LDP_RETURN_IF_ERROR(Reject(run.rejection));
   }
+}
+
+Status ShardIngester::ConsumeHeader(const char* data) {
+  Result<StreamHeader> header = DecodeStreamHeader(data, kStreamHeaderBytes);
+  if (!header.ok()) return Poison(header.status());
+  const Status match = handle_->ValidateHeader(header.value());
+  if (!match.ok()) return Poison(match);
+  header_ = header.value();
+  state_ = State::kFrameLength;
+  return Status::OK();
+}
+
+Status ShardIngester::ReadFrameLength(const char* data) {
+  const uint32_t length = internal_wire::LoadLittleEndian<uint32_t>(data);
+  if (length > kMaxFrameBytes) {
+    return Poison(Status::InvalidArgument(
+        "frame length exceeds kMaxFrameBytes"));
+  }
+  frame_length_ = length;
+  state_ = State::kFrame;
   return Status::OK();
 }
 
@@ -133,53 +138,53 @@ Status ShardIngester::FeedChunk(const char* data, size_t size) {
   const char* const end = data + size;
 
   // Complete the item left straddling the previous Feed boundary, if any.
-  // Items are consumed the moment they complete, so the ring never holds
-  // more than one partial item.
-  if (!staged_.empty()) {
+  // A staged frame keeps its length prefix, so once whole it goes through
+  // AcceptFrames like any in-place frame.
+  while (!staged_.empty()) {
     const size_t need = NeedBytes();
-    LDP_DCHECK(staged_.size() < need);
+    LDP_DCHECK(staged_.size() <= need);
     const size_t take = std::min(need - staged_.size(),
                                  static_cast<size_t>(end - cursor));
     staged_.Append(cursor, take);
     cursor += take;
     if (staged_.size() < need) return Status::OK();  // still incomplete
     const char* item = staged_.Contiguous(need, &wrap_scratch_);
-    LDP_RETURN_IF_ERROR(ConsumeItem(item, need));
+    if (state_ == State::kHeader) {
+      LDP_RETURN_IF_ERROR(ConsumeHeader(item));
+    } else if (state_ == State::kFrameLength) {
+      LDP_RETURN_IF_ERROR(ReadFrameLength(item));
+      continue;  // the prefix stays staged with its payload
+    } else {  // kFrame
+      size_t consumed = 0;
+      LDP_RETURN_IF_ERROR(AcceptFrames(item, need, &consumed));
+      LDP_DCHECK(consumed == need);
+      state_ = State::kFrameLength;
+    }
     staged_.Consume(need);
   }
 
-  for (;;) {
-    if (state_ == State::kFrameLength) {
-      // Hot path: frames whose length prefix and payload are both complete
-      // in the caller's buffer decode in place, bypassing the state machine
-      // and the staging ring entirely.
-      for (;;) {
-        const size_t available = static_cast<size_t>(end - cursor);
-        if (available < 4) break;
-        const uint32_t length =
-            internal_wire::LoadLittleEndian<uint32_t>(cursor);
-        if (length > kMaxFrameBytes) {
-          return Poison(Status::InvalidArgument(
-              "frame length exceeds kMaxFrameBytes"));
-        }
-        if (available - 4 < length) break;
-        cursor += 4;
-        LDP_RETURN_IF_ERROR(AcceptFrame(cursor, length));
-        cursor += length;
-      }
-    }
-    // Generic path: consume the next complete item (header, or an item cut
-    // short above), staging a trailing partial item for the next Feed.
-    const size_t need = NeedBytes();
-    const size_t available = static_cast<size_t>(end - cursor);
-    if (available < need) {
-      staged_.Append(cursor, available);
+  if (state_ == State::kHeader) {
+    if (static_cast<size_t>(end - cursor) < kStreamHeaderBytes) {
+      staged_.Append(cursor, static_cast<size_t>(end - cursor));
       return Status::OK();
     }
-    LDP_RETURN_IF_ERROR(ConsumeItem(cursor, need));
-    cursor += need;
-    if (cursor == end && NeedBytes() > 0) return Status::OK();
+    LDP_RETURN_IF_ERROR(ConsumeHeader(cursor));
+    cursor += kStreamHeaderBytes;
   }
+
+  // Hot path: every whole frame in the caller's buffer is decoded in place,
+  // in one handle call per run.
+  size_t consumed = 0;
+  LDP_RETURN_IF_ERROR(
+      AcceptFrames(cursor, static_cast<size_t>(end - cursor), &consumed));
+  cursor += consumed;
+
+  // Less than one whole frame is left: vet its length prefix if present,
+  // then stage it for the next Feed.
+  const size_t available = static_cast<size_t>(end - cursor);
+  if (available >= 4) LDP_RETURN_IF_ERROR(ReadFrameLength(cursor));
+  staged_.Append(cursor, available);
+  return Status::OK();
 }
 
 Status ShardIngester::Finish() {
@@ -189,7 +194,7 @@ Status ShardIngester::Finish() {
     return Poison(Status::InvalidArgument(
         "stream ended before a complete header"));
   }
-  if (state_ == State::kFramePayload || !staged_.empty()) {
+  if (state_ == State::kFrame || !staged_.empty()) {
     return Poison(Status::InvalidArgument(
         "stream ended inside a frame"));
   }

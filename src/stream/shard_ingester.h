@@ -6,14 +6,18 @@
 // framing state machine serves Section IV-C mixed streams (MixedAggregator)
 // and Algorithm-4 numeric streams (NumericAggregator).
 //
-// Hot-path design: complete items (header, frame length, frame payload) are
-// decoded IN PLACE from the caller's buffer — their bytes are never copied
-// anywhere. Only the partial item straddling a Feed boundary is staged, in a
-// power-of-two ring buffer (util/ringbuf.h) whose read head advances without
-// memmoving retained bytes. Frame payloads stream through the kind's frame
-// decoder straight into the aggregator (which implements the kind's report
-// sink), so the steady-state accept path performs zero per-frame heap
-// allocations.
+// Hot-path design: the header and every whole frame are decoded IN PLACE
+// from the caller's buffer — their bytes are never copied anywhere. Each
+// Feed hands the run of whole frames it carries to the handle in one
+// AggregatorHandle::AcceptFrames call, which validates every frame on its
+// wire bytes and adds it straight into the aggregate's integer arrays (no
+// per-frame virtual call, payload copy or Status; see aggregator_handle.h).
+// The run stops at a rejected frame only so the ingester can apply the
+// policy below at exactly that frame. Only the partial item straddling a
+// Feed boundary is staged, length prefix included, in a power-of-two ring
+// buffer (util/ringbuf.h) whose read head advances without memmoving
+// retained bytes; once whole, a staged frame goes through AcceptFrames like
+// any other. The steady-state accept path performs zero heap allocations.
 //
 // Failure policy: violations of the *framing* layer (bad magic or version,
 // header/collector mismatch, oversized frame length, bytes missing at
@@ -130,16 +134,27 @@ class ShardIngester {
   const Stats& stats() const { return stats_; }
 
  private:
-  enum class State { kHeader, kFrameLength, kFramePayload };
+  // kFrame: a frame of 4 + frame_length_ bytes (prefix included) is being
+  // staged across Feed calls.
+  enum class State { kHeader, kFrameLength, kFrame };
 
-  /// Bytes the current state-machine item needs before it can be consumed.
+  /// Bytes the current staged item needs before it can be consumed.
   size_t NeedBytes() const;
 
-  /// Consumes exactly one complete item of NeedBytes() bytes at `data`.
-  Status ConsumeItem(const char* data, size_t size);
+  /// Parses and validates the kStreamHeaderBytes header at `data`.
+  Status ConsumeHeader(const char* data);
 
-  /// Decodes one complete frame payload, applying the rejection policy.
-  Status AcceptFrame(const char* data, size_t size);
+  /// Reads the length prefix at `data`, poisoning on an oversized frame;
+  /// enters kFrame.
+  Status ReadFrameLength(const char* data);
+
+  /// Hands the whole frames at `data` to the handle, run by run, applying
+  /// the rejection policy to each rejected frame; sets `*consumed` to the
+  /// bytes of whole frames taken.
+  Status AcceptFrames(const char* data, size_t size, size_t* consumed);
+
+  /// Counts one rejected frame and applies the strict/max_rejected policy.
+  Status Reject(const char* reason);
 
   /// The pre-telemetry Feed body; Feed wraps it with a metrics flush.
   Status FeedChunk(const char* data, size_t size);

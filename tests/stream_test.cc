@@ -2,10 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/wire.h"
+#include "frequency/olh.h"
 #include "stream/shard_ingester.h"
+#include "stream/snapshot.h"
 #include "util/random.h"
 
 namespace ldp::stream {
@@ -297,37 +303,250 @@ TEST(ShardIngesterTest, EveryChunkingMatchesWholeBufferAcrossRingWraps) {
   }
 }
 
-TEST(ShardIngesterTest, VisitorDecodeMatchesMaterializingDecodeBitForBit) {
-  // The zero-copy ingest path streams entries straight into the aggregator
-  // (MixedFrameDecoder -> MixedReportSink); decoding every frame into a
-  // MixedReport and Add()ing it must produce bit-identical aggregates.
-  const MixedTupleCollector collector = MakeCollector();
-  const std::string bytes = MakeStream(collector, 250);
+// Raw mixed-report bytes with any entry kind byte, for frames the encoder
+// cannot produce. Categorical entries carry `payload`, numeric ones `value`.
+struct RawEntry {
+  uint32_t attribute = 0;
+  uint8_t kind = 0;
+  double value = 0.0;
+  std::vector<uint32_t> payload;
+};
 
-  ShardIngester streamed(&collector);
-  ASSERT_TRUE(streamed.Feed(bytes).ok());
-  ASSERT_TRUE(streamed.Finish().ok());
-
-  MixedAggregator materialized(&collector);
-  std::istringstream source(bytes);
-  ReportStreamReader reader(&source);
-  ASSERT_TRUE(reader.ReadHeader().ok());
-  std::string payload;
-  for (;;) {
-    auto frame = reader.NextFrame(&payload);
-    ASSERT_TRUE(frame.ok());
-    if (!frame.value()) break;
-    auto report = DecodeMixedReport(payload, collector);
-    ASSERT_TRUE(report.ok());
-    materialized.Add(report.value());
+std::string EncodeRawReport(const std::vector<RawEntry>& entries) {
+  std::string out;
+  internal_wire::PutU16(&out, static_cast<uint16_t>(entries.size()));
+  for (const RawEntry& entry : entries) {
+    internal_wire::PutU32(&out, entry.attribute);
+    internal_wire::PutU8(&out, entry.kind);
+    if (entry.kind == internal_wire::kNumericEntry) {
+      internal_wire::PutF64(&out, entry.value);
+    } else {
+      internal_wire::PutU16(&out, static_cast<uint16_t>(entry.payload.size()));
+      for (const uint32_t word : entry.payload) {
+        internal_wire::PutU32(&out, word);
+      }
+    }
   }
+  return out;
+}
 
-  EXPECT_EQ(streamed.aggregator().num_reports(), materialized.num_reports());
-  EXPECT_EQ(streamed.aggregator().numeric_sums(),
-            materialized.numeric_sums());
-  EXPECT_EQ(streamed.aggregator().supports(), materialized.supports());
-  EXPECT_EQ(streamed.aggregator().attribute_report_counts(),
-            materialized.attribute_report_counts());
+// Schema of the differential table: numeric attributes 0, 2, 4 and
+// categorical attributes 1 (domain 5), 3 (domain 12), 5 (domain 3).
+constexpr uint32_t kWideCategorical = 3;
+constexpr uint32_t kWideDomain = 12;
+
+MixedTuple DifferentialTuple(Rng* rng) {
+  MixedTuple tuple(6);
+  tuple[0] = AttributeValue::Numeric(rng->Uniform(-1.0, 1.0));
+  tuple[1] = AttributeValue::Categorical(
+      static_cast<uint32_t>(rng->UniformIndex(5)));
+  tuple[2] = AttributeValue::Numeric(rng->Uniform(-1.0, 1.0));
+  tuple[3] = AttributeValue::Categorical(
+      static_cast<uint32_t>(rng->UniformIndex(kWideDomain)));
+  tuple[4] = AttributeValue::Numeric(-0.5);
+  tuple[5] = AttributeValue::Categorical(
+      static_cast<uint32_t>(rng->UniformIndex(3)));
+  return tuple;
+}
+
+RawEntry Categorical(uint32_t attribute, std::vector<uint32_t> payload) {
+  RawEntry entry;
+  entry.attribute = attribute;
+  entry.kind = internal_wire::kCategoricalEntry;
+  entry.payload = std::move(payload);
+  return entry;
+}
+
+RawEntry Numeric(uint32_t attribute, double value) {
+  RawEntry entry;
+  entry.attribute = attribute;
+  entry.kind = internal_wire::kNumericEntry;
+  entry.value = value;
+  return entry;
+}
+
+// One hostile entry completed to k entries with honest numeric ones.
+std::string HostileReport(const MixedTupleCollector& collector,
+                          RawEntry hostile) {
+  std::vector<RawEntry> entries = {std::move(hostile)};
+  for (uint32_t attribute : {0u, 2u, 4u}) {
+    if (entries.size() == collector.k()) break;
+    if (attribute == entries[0].attribute) continue;
+    entries.push_back(Numeric(attribute, 0.25));
+  }
+  return EncodeRawReport(entries);
+}
+
+// Honest frames interleaved with every kind of hostile frame the decoder
+// must refuse (or, for a bit flip that happens to stay well-formed, accept
+// exactly as the reference does).
+std::vector<std::string> DifferentialFrames(
+    const MixedTupleCollector& collector, uint64_t seed) {
+  Rng rng(seed);
+  auto honest = [&] {
+    return EncodeMixedReport(collector.Perturb(DifferentialTuple(&rng), &rng),
+                             collector);
+  };
+  std::vector<std::string> hostile;
+  const std::string cut = honest();
+  for (size_t size = 0; size < cut.size(); ++size) {
+    hostile.push_back(cut.substr(0, size));
+  }
+  const std::string flipped = honest();
+  for (size_t i = 0; i < flipped.size(); ++i) {
+    std::string frame = flipped;
+    frame[i] = static_cast<char>(frame[i] ^ (1 << (i % 8)));
+    hostile.push_back(frame);
+  }
+  std::string trailing = honest();
+  trailing.push_back('\0');
+  hostile.push_back(trailing);
+  // A duplicate attribute, and wrong or unknown entry kinds.
+  hostile.push_back(EncodeRawReport(
+      std::vector<RawEntry>(collector.k() + 1, Numeric(0, 0.25))));
+  hostile.push_back(EncodeRawReport(
+      std::vector<RawEntry>(collector.k(), Numeric(2, 0.25))));
+  hostile.push_back(HostileReport(collector, Numeric(kWideCategorical, 0.0)));
+  hostile.push_back(HostileReport(collector, Categorical(0, {})));
+  RawEntry unknown_kind = Numeric(2, 0.0);
+  unknown_kind.kind = 7;
+  hostile.push_back(HostileReport(collector, unknown_kind));
+  // Out-of-domain and non-increasing unary bits.
+  hostile.push_back(
+      HostileReport(collector, Categorical(kWideCategorical, {kWideDomain})));
+  hostile.push_back(
+      HostileReport(collector, Categorical(kWideCategorical, {1, 4, 4})));
+  hostile.push_back(
+      HostileReport(collector, Categorical(kWideCategorical, {6, 2})));
+  // OLH: a bucket at and far past g, and a short payload.
+  const uint32_t g =
+      collector.categorical_kind() == FrequencyOracleKind::kOlh
+          ? static_cast<const OlhOracle*>(
+                collector.oracle_for(kWideCategorical))
+                ->hash_range()
+          : 2;
+  hostile.push_back(HostileReport(
+      collector, Categorical(kWideCategorical, {0x1234, 0x5678, g})));
+  hostile.push_back(HostileReport(
+      collector, Categorical(kWideCategorical, {7, 9, 0xffffffffu})));
+  hostile.push_back(
+      HostileReport(collector, Categorical(kWideCategorical, {7, 9})));
+  // HE: one component too few and one too many; a payload past the
+  // oracle's maximum.
+  hostile.push_back(HostileReport(
+      collector, Categorical(kWideCategorical,
+                             std::vector<uint32_t>(kWideDomain - 1, 5))));
+  hostile.push_back(HostileReport(
+      collector, Categorical(kWideCategorical,
+                             std::vector<uint32_t>(kWideDomain + 1, 5))));
+  // A NaN numeric value and one past the scaled bound.
+  hostile.push_back(HostileReport(
+      collector, Numeric(2, std::numeric_limits<double>::quiet_NaN())));
+  hostile.push_back(HostileReport(
+      collector,
+      Numeric(2, 1.0001 * ScaledValueBound(
+                              collector.dimension(), collector.k(),
+                              collector.scalar_mechanism().OutputBound()))));
+
+  std::vector<std::string> frames;
+  for (const std::string& frame : hostile) {
+    frames.push_back(honest());
+    frames.push_back(frame);
+  }
+  for (int i = 0; i < 200; ++i) frames.push_back(honest());
+  return frames;
+}
+
+TEST(ShardIngesterTest, VisitorDecodeMatchesMaterializingDecodeBitForBit) {
+  // The ingest path validates and accumulates straight from the wire bytes
+  // (AggregatorHandle::AcceptFrames -> MixedFrameDecoder::Decode with the
+  // aggregator as its sink). For every oracle kind, both numeric
+  // mechanisms, k = 1 and k >= 2, and honest frames interleaved with
+  // hostile ones, it must count, aggregate and snapshot exactly like
+  // decoding every frame into a MixedReport and Add()ing it, at any chunk
+  // size; in strict mode it must fail with the reference's rejection.
+  for (const FrequencyOracleKind oracle :
+       {FrequencyOracleKind::kOue, FrequencyOracleKind::kSue,
+        FrequencyOracleKind::kGrr, FrequencyOracleKind::kOlh,
+        FrequencyOracleKind::kThe, FrequencyOracleKind::kHe}) {
+    for (const MechanismKind mechanism :
+         {MechanismKind::kPiecewise, MechanismKind::kHybrid}) {
+      for (const double epsilon : {1.0, 6.0}) {
+        SCOPED_TRACE(std::string(FrequencyOracleKindToString(oracle)) + "/" +
+                     MechanismKindToString(mechanism) +
+                     " epsilon=" + std::to_string(epsilon));
+        auto created = MixedTupleCollector::Create(
+            {MixedAttribute::Numeric(), MixedAttribute::Categorical(5),
+             MixedAttribute::Numeric(),
+             MixedAttribute::Categorical(kWideDomain),
+             MixedAttribute::Numeric(), MixedAttribute::Categorical(3)},
+            epsilon, mechanism, oracle);
+        ASSERT_TRUE(created.ok());
+        const MixedTupleCollector& collector = created.value();
+        ASSERT_EQ(collector.k(), epsilon < 2.5 ? 1u : 2u);
+
+        const std::vector<std::string> frames =
+            DifferentialFrames(collector, 17 + collector.k());
+        std::ostringstream out;
+        ReportStreamWriter writer(&out, MakeMixedStreamHeader(collector));
+        MixedAggregator reference(&collector);
+        uint64_t accepted = 0;
+        uint64_t rejected = 0;
+        Status first_rejection = Status::OK();
+        for (const std::string& frame : frames) {
+          ASSERT_TRUE(writer.WriteFrame(frame).ok());
+          auto report = DecodeMixedReport(frame, collector);
+          if (report.ok()) {
+            reference.Add(report.value());
+            ++accepted;
+          } else {
+            ++rejected;
+            if (first_rejection.ok()) first_rejection = report.status();
+          }
+        }
+        ASSERT_GE(rejected, 30u);
+        ASSERT_GT(accepted, 200u);
+        const std::string bytes = out.str();
+
+        for (const size_t chunk : {size_t{1}, size_t{7}, size_t{256 << 10}}) {
+          SCOPED_TRACE("chunk=" + std::to_string(chunk));
+          ShardIngester ingester(&collector);
+          for (size_t at = 0; at < bytes.size(); at += chunk) {
+            ASSERT_TRUE(ingester
+                            .Feed(bytes.data() + at,
+                                  std::min(chunk, bytes.size() - at))
+                            .ok());
+          }
+          ASSERT_TRUE(ingester.Finish().ok());
+          EXPECT_EQ(ingester.stats().frames, frames.size());
+          EXPECT_EQ(ingester.stats().accepted, accepted);
+          EXPECT_EQ(ingester.stats().rejected, rejected);
+          const MixedAggregator& streamed = ingester.aggregator();
+          EXPECT_EQ(streamed.num_reports(), reference.num_reports());
+          EXPECT_EQ(streamed.attribute_report_counts(),
+                    reference.attribute_report_counts());
+          EXPECT_EQ(streamed.numeric_sums(), reference.numeric_sums());
+          EXPECT_EQ(streamed.supports(), reference.supports());
+          EXPECT_EQ(EncodeAggregatorSnapshot(streamed),
+                    EncodeAggregatorSnapshot(reference));
+        }
+
+        ShardIngester::Options strict_options;
+        strict_options.strict = true;
+        ShardIngester strict(&collector, strict_options);
+        Status poisoned = Status::OK();
+        for (size_t at = 0; at < bytes.size() && poisoned.ok(); at += 7) {
+          poisoned = strict.Feed(bytes.data() + at,
+                                 std::min<size_t>(7, bytes.size() - at));
+        }
+        ASSERT_FALSE(poisoned.ok());
+        EXPECT_EQ(poisoned.code(), first_rejection.code());
+        EXPECT_EQ(poisoned.message(), "undecodable report in strict mode: " +
+                                          first_rejection.message());
+        EXPECT_EQ(strict.stats().rejected, 1u);
+      }
+    }
+  }
 }
 
 TEST(ShardIngesterTest, MatchesStreamlessAggregation) {

@@ -150,6 +150,67 @@ TEST(UnsignedFlagTest, RespectsTheTargetTypesRange) {
   EXPECT_FALSE(ParseUnsignedFlag(nullptr, &timeout_ms));
 }
 
+TEST(FiniteDoubleFlagTest, Table) {
+  struct DoubleCase {
+    const char* text;
+    bool ok;
+    double value;
+  };
+  const DoubleCase kCases[] = {
+      {"4", true, 4.0},
+      {"0.95", true, 0.95},
+      {"-2.5", true, -2.5},
+      {"1e-3", true, 1e-3},
+      {".5", true, 0.5},
+      {"", false, 0},       // empty
+      {"4x", false, 0},     // trailing junk (strtod would read 4)
+      {"4 ", false, 0},     // trailing whitespace
+      {" 4", false, 0},     // leading whitespace
+      {"abc", false, 0},    // no number (strtod would read 0)
+      {"nan", false, 0},    // not finite
+      {"inf", false, 0},    // not finite
+      {"-inf", false, 0},   // not finite
+      {"1e999", false, 0},  // overflow
+      {"1e-999", false, 0}, // underflow
+  };
+  for (const DoubleCase& c : kCases) {
+    SCOPED_TRACE(std::string("'") + c.text + "'");
+    double value = 99.0;
+    EXPECT_EQ(ParseFiniteDoubleFlag(c.text, &value), c.ok);
+    EXPECT_EQ(value, c.ok ? c.value : 99.0);  // untouched on refusal
+  }
+  double value = 99.0;
+  EXPECT_FALSE(ParseFiniteDoubleFlag(nullptr, &value));
+  EXPECT_EQ(value, 99.0);
+}
+
+TEST(RelayIntervalFlagTest, Table) {
+  struct IntervalCase {
+    const char* text;
+    bool ok;
+    int interval_ms;
+  };
+  const IntervalCase kCases[] = {
+      {"1", true, 1000},
+      {"30", true, 30000},
+      {"2147483", true, 2147483000},  // INT_MAX / 1000
+      {"0", false, 0},                // no interval
+      {"2147484", false, 0},          // milliseconds overflow an int
+      {"3000000", false, 0},          // likewise
+      {"1x", false, 0},               // trailing junk (strtol read 1)
+      {"abc", false, 0},              // no digits (strtol read 0)
+      {"-1", false, 0},               // sign
+      {"1.5", false, 0},              // not whole seconds
+      {"", false, 0},                 // empty
+  };
+  for (const IntervalCase& c : kCases) {
+    SCOPED_TRACE(std::string("'") + c.text + "'");
+    int interval_ms = 99;
+    EXPECT_EQ(ParseRelayIntervalFlag(c.text, &interval_ms), c.ok);
+    EXPECT_EQ(interval_ms, c.ok ? c.interval_ms : 99);
+  }
+}
+
 TEST(VocabularyFlagTest, OracleTable) {
   struct OracleCase {
     const char* name;

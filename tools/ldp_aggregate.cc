@@ -182,7 +182,7 @@ int main(int argc, char** argv) {
     if (arg == "--schema") {
       schema_path = next();
     } else if (arg == "--confidence") {
-      confidence = std::strtod(next(), nullptr);
+      tools::ParseFiniteDoubleFlagOrExit(arg, next(), &confidence, Usage);
     } else if (arg == "--threads") {
       tools::ParseUnsignedFlagOrExit(arg, next(), &threads, Usage);
     } else if (arg == "--strict") {

@@ -188,7 +188,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--data") {
       data_path = next();
     } else if (arg == "--epsilon") {
-      epsilon = std::strtod(next(), nullptr);
+      tools::ParseFiniteDoubleFlagOrExit(arg, next(), &epsilon, Usage);
     } else if (arg == "--out") {
       prefix = next();
     } else if (arg == "--connect") {

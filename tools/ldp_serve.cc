@@ -54,6 +54,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <thread>
 
@@ -144,7 +145,7 @@ int main(int argc, char** argv) {
     if (arg == "--schema") {
       schema_path = next();
     } else if (arg == "--epsilon") {
-      epsilon = std::strtod(next(), nullptr);
+      tools::ParseFiniteDoubleFlagOrExit(arg, next(), &epsilon, Usage);
     } else if (arg == "--listen") {
       listen_spec = next();
     } else if (arg == "--epochs") {
@@ -176,7 +177,7 @@ int main(int argc, char** argv) {
       tools::ParseUnsignedFlagOrExit(arg, next(), &ingest_options.max_rejected,
                                      Usage);
     } else if (arg == "--confidence") {
-      confidence = std::strtod(next(), nullptr);
+      tools::ParseFiniteDoubleFlagOrExit(arg, next(), &confidence, Usage);
     } else if (arg == "--snapshot-out") {
       snapshot_out = next();
     } else if (arg == "--metrics") {
@@ -204,8 +205,15 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--relay-interval-s") {
-      relay_options.interval_ms =
-          static_cast<int>(std::strtol(next(), nullptr, 10)) * 1000;
+      const char* text = next();
+      if (!tools::ParseRelayIntervalFlag(text, &relay_options.interval_ms)) {
+        std::fprintf(stderr,
+                     "--relay-interval-s needs whole seconds in 1..%d, got "
+                     "'%s'\n",
+                     std::numeric_limits<int>::max() / 1000, text);
+        Usage();
+        return 2;
+      }
     } else if (arg == "--mechanism") {
       if (!tools::ParseMechanismFlag(next(), &mechanism)) {
         Usage();

@@ -1,6 +1,7 @@
 // Shared CLI flag parsers for the tools. `--oracle`, `--mechanism`,
 // `--stream`, the campaign-identity flags (`--reporter-id`,
-// `--campaign-key`, `--node-id`) and every unsigned integer operand must
+// `--campaign-key`, `--node-id`), every unsigned integer operand and every
+// floating-point operand (`--epsilon`, `--confidence`) must
 // accept exactly the same vocabulary in every binary (ldp_collect,
 // ldp_report, ldp_serve, ...); one parser per flag keeps a new oracle kind —
 // or a validation rule — from being silently unreachable or different in
@@ -9,7 +10,9 @@
 #ifndef LDP_TOOLS_TOOL_FLAGS_H_
 #define LDP_TOOLS_TOOL_FLAGS_H_
 
+#include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -84,6 +87,50 @@ void ParseUnsignedFlagOrExit(const std::string& flag, const char* text,
                flag.c_str(), text);
   usage();
   std::exit(2);
+}
+
+/// Strict finite floating-point operand (`--epsilon`, `--confidence`): the
+/// whole text must be one strtod number — no leading whitespace, no
+/// trailing junk — and finite. Returns false (leaving *value untouched) on
+/// anything else, so `4x` is refused instead of read as 4, and `nan`,
+/// `inf` or an overflow instead of reaching a range check that lets them
+/// through.
+inline bool ParseFiniteDoubleFlag(const char* text, double* value) {
+  if (text == nullptr || text[0] == '\0' ||
+      std::isspace(static_cast<unsigned char>(text[0]))) {
+    return false;
+  }
+  errno = 0;
+  char* end = nullptr;
+  const double parsed = std::strtod(text, &end);
+  if (*end != '\0' || errno == ERANGE || !std::isfinite(parsed)) return false;
+  *value = parsed;
+  return true;
+}
+
+/// ParseFiniteDoubleFlag for `flag`'s operand `text`, or a message, the
+/// tool's usage text and exit status 2.
+inline void ParseFiniteDoubleFlagOrExit(const std::string& flag,
+                                        const char* text, double* value,
+                                        void (*usage)()) {
+  if (ParseFiniteDoubleFlag(text, value)) return;
+  std::fprintf(stderr, "%s needs a finite number, got '%s'\n", flag.c_str(),
+               text);
+  usage();
+  std::exit(2);
+}
+
+/// `--relay-interval-s`: a strict unsigned count of seconds in
+/// 1..INT_MAX/1000, stored as milliseconds (so the product cannot overflow
+/// an int). Returns false, leaving *interval_ms untouched, on anything else.
+inline bool ParseRelayIntervalFlag(const char* text, int* interval_ms) {
+  unsigned seconds = 0;
+  if (!ParseUnsignedFlag(text, &seconds) || seconds == 0 ||
+      seconds > static_cast<unsigned>(std::numeric_limits<int>::max() / 1000)) {
+    return false;
+  }
+  *interval_ms = static_cast<int>(seconds) * 1000;
+  return true;
 }
 
 /// "oue" | "grr" | "sue" | "olh" | "he" | "the".
