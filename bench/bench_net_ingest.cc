@@ -101,9 +101,7 @@ std::vector<std::string> EncodeShards(const api::Pipeline& pipeline,
     std::string bytes;
     Rng rng(1000 + s);
     for (uint64_t i = ranges[s].begin; i < ranges[s].end; ++i) {
-      auto payload = client.value().EncodeReport(tuple, &rng);
-      if (!payload.ok() ||
-          !stream::AppendFrame(payload.value(), &bytes).ok()) {
+      if (!client.value().AppendReport(tuple, &rng, &bytes).ok()) {
         std::fprintf(stderr, "encode failed\n");
         std::exit(1);
       }

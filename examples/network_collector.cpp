@@ -40,9 +40,7 @@ std::string EncodeFleetShard(const api::ClientSession& client,
     tuple[1] = AttributeValue::Categorical(row % 5);                // platform
     tuple[2] = AttributeValue::Numeric((row % 50) / 25.0 - 1.0);    // battery
     Rng rng = api::UserRng(kSeed, row);
-    auto payload = client.EncodeReport(tuple, &rng);
-    if (!payload.ok() ||
-        !stream::AppendFrame(payload.value(), &bytes).ok()) {
+    if (!client.AppendReport(tuple, &rng, &bytes).ok()) {
       std::fprintf(stderr, "encode failed\n");
       std::exit(1);
     }

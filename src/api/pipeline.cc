@@ -71,10 +71,12 @@ Status ValidateDatasetMatches(const data::Dataset& dataset,
 }
 
 // The paper's proposed pipeline (Algorithm 4 + Section IV-C) over the
-// pipeline's collector. One aggregator per chunk, merged after the parallel
-// region. Merges are exact, so results are bit-identical for a fixed seed
-// at any chunk count, and any sharded run over the same rows reproduces
-// them.
+// pipeline's collector. Each user's report takes the wire path in process:
+// the client encoder writes it and the server's frame decoder folds it into
+// the chunk's aggregator. One aggregator per chunk, merged after the
+// parallel region. Merges are exact, so results are bit-identical for a
+// fixed seed at any chunk count, and any sharded run over the same rows
+// reproduces them.
 Result<CollectionOutput> RunProposed(const MixedTupleCollector& collector,
                                      const data::Dataset& dataset,
                                      uint64_t seed, ThreadPool* pool) {
@@ -87,9 +89,13 @@ Result<CollectionOutput> RunProposed(const MixedTupleCollector& collector,
       ParallelForChunkCount(pool, dataset.num_rows());
   std::vector<MixedAggregator> chunk_aggregators(num_chunks,
                                                  MixedAggregator(&collector));
+  std::vector<Status> chunk_status(num_chunks);
   ParallelFor(pool, dataset.num_rows(),
               [&](unsigned chunk, uint64_t begin, uint64_t end) {
                 MixedAggregator& local = chunk_aggregators[chunk];
+                MixedFrameDecoder decoder(&collector);
+                std::string report;
+                report.reserve(collector.MaxReportBytes());
                 MixedTuple tuple(d);
                 for (uint64_t row = begin; row < end; ++row) {
                   for (uint32_t col = 0; col < d; ++col) {
@@ -100,9 +106,18 @@ Result<CollectionOutput> RunProposed(const MixedTupleCollector& collector,
                     }
                   }
                   Rng rng = UserRng(seed, row);
-                  local.Add(collector.Perturb(tuple, &rng));
+                  report.clear();
+                  collector.PerturbInto(tuple, &rng, &report);
+                  const char* rejection = decoder.Decode<FrequencyOracle>(
+                      report.data(), report.size(), &local);
+                  if (rejection != nullptr) {
+                    chunk_status[chunk] = Status::Internal(
+                        std::string("honest report rejected: ") + rejection);
+                    return;
+                  }
                 }
               });
+  for (const Status& status : chunk_status) LDP_RETURN_IF_ERROR(status);
   MixedAggregator total(&collector);
   for (const MixedAggregator& local : chunk_aggregators) {
     LDP_RETURN_IF_ERROR(total.Merge(local));
@@ -403,57 +418,115 @@ uint32_t ClientSession::dimension() const {
   return state_->collector->dimension();
 }
 
-Result<std::string> ClientSession::EncodeReport(const MixedTuple& row,
-                                                Rng* rng) const {
-  if (row.size() != state_->collector->dimension()) {
+namespace {
+
+Status CheckRow(const PipelineState& state, size_t size) {
+  if (size != state.config.attributes.size()) {
     return Status::InvalidArgument(
         "row must carry one value per schema attribute");
   }
-  if (state_->kind == stream::ReportStreamKind::kMixed) {
-    return EncodeMixedReport(state_->collector->Perturb(row, rng),
-                             *state_->collector);
+  return Status::OK();
+}
+
+Status CheckRow(const PipelineState& state, const MixedTuple& row) {
+  return CheckRow(state, row.size());
+}
+
+Status CheckRow(const PipelineState& state, const std::vector<double>& row) {
+  LDP_RETURN_IF_ERROR(CheckRow(state, row.size()));
+  for (const MixedAttribute& attribute : state.config.attributes) {
+    if (attribute.type != AttributeType::kNumeric) {
+      return Status::InvalidArgument(
+          "pure-numeric rows require an all-numeric schema");
+    }
   }
-  std::vector<double> numeric_row(row.size(), 0.0);
-  for (size_t j = 0; j < row.size(); ++j) {
-    numeric_row[j] = row[j].numeric;
+  return Status::OK();
+}
+
+// The one client encoder: appends the wire payload of `row`'s report to
+// `out`, perturbing in place. AppendReport frames it; EncodeReport and
+// WriteReport run it over a per-thread buffer.
+template <typename Row>
+Status AppendPayload(const PipelineState& state, const Row& row, Rng* rng,
+                     std::string* out) {
+  LDP_RETURN_IF_ERROR(CheckRow(state, row));
+  if (state.kind == stream::ReportStreamKind::kMixed) {
+    state.collector->PerturbInto(row, rng, out);
+  } else {
+    state.numeric->PerturbInto(row, rng, out);
   }
-  return EncodeSampledNumericReport(state_->numeric->Perturb(numeric_row, rng));
+  return Status::OK();
+}
+
+template <typename Row>
+Status AppendFramed(const PipelineState& state, const Row& row, Rng* rng,
+                    std::string* out) {
+  const size_t frame_at = stream::BeginFrame(out);
+  const Status appended = AppendPayload(state, row, rng, out);
+  if (!appended.ok()) {
+    out->resize(frame_at);
+    return appended;
+  }
+  return stream::EndFrame(frame_at, out);
+}
+
+// The per-thread buffer EncodeReport and WriteReport perturb into. It is
+// reused across reports and sessions, and reserved up front to the largest
+// payload the session can write, so it stops growing after the first call.
+std::string* PayloadScratch(size_t max_payload_bytes) {
+  thread_local std::string scratch;
+  scratch.clear();
+  if (scratch.capacity() < max_payload_bytes) {
+    scratch.reserve(max_payload_bytes);
+  }
+  return &scratch;
+}
+
+}  // namespace
+
+Status ClientSession::AppendReport(const MixedTuple& row, Rng* rng,
+                                   std::string* out) const {
+  return AppendFramed(*state_, row, rng, out);
+}
+
+Status ClientSession::AppendReport(const std::vector<double>& row, Rng* rng,
+                                   std::string* out) const {
+  return AppendFramed(*state_, row, rng, out);
+}
+
+size_t ClientSession::MaxReportBytes() const {
+  return 4 + (state_->kind == stream::ReportStreamKind::kMixed
+                  ? state_->collector->MaxReportBytes()
+                  : state_->numeric->MaxReportBytes());
+}
+
+Result<std::string> ClientSession::EncodeReport(const MixedTuple& row,
+                                                Rng* rng) const {
+  std::string* payload = PayloadScratch(MaxReportBytes() - 4);
+  LDP_RETURN_IF_ERROR(AppendPayload(*state_, row, rng, payload));
+  return std::string(*payload);
 }
 
 Result<std::string> ClientSession::EncodeReport(const std::vector<double>& row,
                                                 Rng* rng) const {
-  if (row.size() != state_->collector->dimension()) {
-    return Status::InvalidArgument(
-        "row must carry one value per schema attribute");
-  }
-  if (state_->kind == stream::ReportStreamKind::kSampledNumeric) {
-    return EncodeSampledNumericReport(state_->numeric->Perturb(row, rng));
-  }
-  MixedTuple tuple(row.size());
-  for (size_t j = 0; j < row.size(); ++j) {
-    if (state_->config.attributes[j].type != AttributeType::kNumeric) {
-      return Status::InvalidArgument(
-          "pure-numeric rows require an all-numeric schema");
-    }
-    tuple[j].numeric = row[j];
-  }
-  return EncodeMixedReport(state_->collector->Perturb(tuple, rng),
-                           *state_->collector);
+  std::string* payload = PayloadScratch(MaxReportBytes() - 4);
+  LDP_RETURN_IF_ERROR(AppendPayload(*state_, row, rng, payload));
+  return std::string(*payload);
 }
 
 Status ClientSession::WriteReport(stream::ReportStreamWriter* writer,
                                   const MixedTuple& row, Rng* rng) const {
-  std::string payload;
-  LDP_ASSIGN_OR_RETURN(payload, EncodeReport(row, rng));
-  return writer->WriteFrame(payload);
+  std::string* payload = PayloadScratch(MaxReportBytes() - 4);
+  LDP_RETURN_IF_ERROR(AppendPayload(*state_, row, rng, payload));
+  return writer->WriteFrame(*payload);
 }
 
 Status ClientSession::WriteReport(stream::ReportStreamWriter* writer,
                                   const std::vector<double>& row,
                                   Rng* rng) const {
-  std::string payload;
-  LDP_ASSIGN_OR_RETURN(payload, EncodeReport(row, rng));
-  return writer->WriteFrame(payload);
+  std::string* payload = PayloadScratch(MaxReportBytes() - 4);
+  LDP_RETURN_IF_ERROR(AppendPayload(*state_, row, rng, payload));
+  return writer->WriteFrame(*payload);
 }
 
 }  // namespace ldp::api

@@ -10,8 +10,8 @@
 //                           CollectProposed / CollectBaseline free functions
 //                           are thin wrappers over this, bit for bit);
 //   - Pipeline::NewClient   a ClientSession that perturbs rows — mixed or
-//                           pure-numeric — and encodes them as wire frames
-//                           for the framed report-stream format;
+//                           pure-numeric — straight onto the wire as frames
+//                           of the framed report-stream format;
 //   - Pipeline::NewServer   a ServerSession that owns shards, epochs and a
 //                           PrivacyAccountant, and exposes Feed / Merge /
 //                           Snapshot / Estimate (api/server_session.h).
@@ -153,8 +153,8 @@ struct PipelineEstimates {
 };
 
 /// The client half of a pipeline: perturbs one user's row on her device and
-/// encodes nothing but the privatized report. Copyable and cheap; share one
-/// per thread with one Rng per thread.
+/// encodes nothing but the privatized report. Copyable and cheap; one
+/// session may be shared across threads, with one Rng per thread.
 class ClientSession {
  public:
   /// The stream header every shard written by this client must start with.
@@ -163,17 +163,34 @@ class ClientSession {
   /// The serialized header bytes (convenience for callers framing by hand).
   std::string EncodeHeader() const;
 
-  /// Perturbs one full row and encodes it as a frame payload (no length
-  /// prefix; pair with stream::AppendFrame or ReportStreamWriter). Numeric
-  /// coordinates must be in [-1, 1], categorical ones within their domains.
-  Result<std::string> EncodeReport(const MixedTuple& row, Rng* rng) const;
+  /// The client's encoder: perturbs one full row and appends it to `out` as
+  /// one length-prefixed frame, written in place — a placeholder length,
+  /// the payload, then the length patched in. No report object or
+  /// temporary row is built, and nothing is allocated once `out` has
+  /// MaxReportBytes() of spare capacity. Numeric coordinates must be in
+  /// [-1, 1], categorical ones within their domains. Fails, leaving `out`
+  /// as it was, on a row of the wrong size or a frame above
+  /// stream::kMaxFrameBytes (InvalidArgument, as stream::AppendFrame).
+  Status AppendReport(const MixedTuple& row, Rng* rng, std::string* out) const;
 
   /// Pure-numeric overload: one value per attribute. Fails on schemas with
   /// categorical attributes.
+  Status AppendReport(const std::vector<double>& row, Rng* rng,
+                      std::string* out) const;
+
+  /// The most bytes one AppendReport call appends, length prefix included.
+  size_t MaxReportBytes() const;
+
+  /// AppendReport's payload as a string of its own (no length prefix; pair
+  /// with stream::AppendFrame or ReportStreamWriter): the same draws and
+  /// bytes. It perturbs into a reused per-thread buffer and returns one
+  /// exact-size copy, so the copy is its only allocation.
+  Result<std::string> EncodeReport(const MixedTuple& row, Rng* rng) const;
   Result<std::string> EncodeReport(const std::vector<double>& row,
                                    Rng* rng) const;
 
-  /// Perturbs `row` and appends it to `writer` as one frame.
+  /// Perturbs `row` and appends it to `writer` as one frame, through the
+  /// same per-thread buffer as EncodeReport.
   Status WriteReport(stream::ReportStreamWriter* writer, const MixedTuple& row,
                      Rng* rng) const;
   Status WriteReport(stream::ReportStreamWriter* writer,

@@ -1,8 +1,10 @@
 #include "core/mixed_collector.h"
 
+#include <algorithm>
 #include <map>
 
 #include "core/variance.h"
+#include "core/wire.h"
 #include "frequency/histogram.h"
 #include "util/check.h"
 #include "util/sampling.h"
@@ -18,6 +20,10 @@ Result<MixedTupleCollector> MixedTupleCollector::Create(
   LDP_RETURN_IF_ERROR(ValidateEpsilon(epsilon));
   const uint32_t dimension = static_cast<uint32_t>(schema.size());
   const uint32_t k = AttributeSampleCount(epsilon, dimension);
+  if (k > UINT16_MAX) {
+    return Status::InvalidArgument(
+        "a report carries its entry count as u16: k exceeds 65535");
+  }
   const double per_attribute_epsilon = epsilon / k;
 
   std::unique_ptr<ScalarMechanism> scalar;
@@ -27,6 +33,9 @@ Result<MixedTupleCollector> MixedTupleCollector::Create(
   // Attributes with equal domain sizes share one oracle instance.
   std::map<uint32_t, std::shared_ptr<const FrequencyOracle>> oracle_cache;
   std::vector<std::shared_ptr<const FrequencyOracle>> oracles(dimension);
+  // Wire bytes of the largest entry: u32 attribute + u8 kind, then an f64
+  // or an oracle payload (u16 count + u32 words).
+  size_t max_entry_bytes = 4 + 1 + 8;
   for (uint32_t j = 0; j < dimension; ++j) {
     if (schema[j].type != AttributeType::kCategorical) continue;
     const uint32_t domain = schema[j].domain_size;
@@ -36,15 +45,23 @@ Result<MixedTupleCollector> MixedTupleCollector::Create(
       LDP_ASSIGN_OR_RETURN(oracle,
                            MakeFrequencyOracle(categorical_kind,
                                                per_attribute_epsilon, domain));
+      if (oracle->MaxReportSize() > UINT16_MAX) {
+        return Status::InvalidArgument(
+            "categorical domain of " + std::to_string(domain) + " values: " +
+            oracle->name() +
+            " reports would exceed the wire's 65535-word oracle payload");
+      }
       it = oracle_cache.emplace(domain, std::move(oracle)).first;
     }
     oracles[j] = it->second;
+    max_entry_bytes = std::max(max_entry_bytes,
+                               4 + 1 + 2 + 4 * it->second->MaxReportSize());
   }
   return MixedTupleCollector(std::move(schema), epsilon, k, numeric_kind,
                              categorical_kind,
                              std::shared_ptr<const ScalarMechanism>(
                                  std::move(scalar)),
-                             std::move(oracles));
+                             std::move(oracles), 2 + k * max_entry_bytes);
 }
 
 bool MixedTupleCollector::CompatibleWith(
@@ -63,6 +80,69 @@ bool MixedTupleCollector::CompatibleWith(
     }
   }
   return true;
+}
+
+namespace {
+
+// Coordinate readers over the two row shapes PerturbInto accepts.
+struct TupleRow {
+  const MixedTuple& tuple;
+  double numeric(uint32_t j) const { return tuple[j].numeric; }
+  uint32_t category(uint32_t j) const { return tuple[j].category; }
+};
+
+struct NumericRow {
+  const std::vector<double>& values;
+  double numeric(uint32_t j) const { return values[j]; }
+  uint32_t category(uint32_t /*j*/) const {
+    LDP_CHECK_MSG(false, "pure-numeric rows require an all-numeric schema");
+    return 0;
+  }
+};
+
+}  // namespace
+
+template <typename Row>
+void MixedTupleCollector::WriteReport(const Row& row, Rng* rng,
+                                      std::string* out) const {
+  using internal_wire::PutF64;
+  using internal_wire::PutU16;
+  using internal_wire::PutU32;
+  using internal_wire::PutU8;
+  const double scale = static_cast<double>(dimension()) / k_;
+  // Every attribute is sampled before any is perturbed: the draw order of
+  // the reference Perturb, so both produce the same report.
+  SampleSlots slots(k_);
+  uint32_t* const sampled = slots.data();
+  SampleWithoutReplacement(dimension(), k_, rng, sampled);
+  PutU16(out, static_cast<uint16_t>(k_));
+  for (uint32_t i = 0; i < k_; ++i) {
+    const uint32_t attribute = sampled[i];
+    PutU32(out, attribute);
+    if (schema_[attribute].type == AttributeType::kNumeric) {
+      const double t = row.numeric(attribute);
+      LDP_DCHECK(t >= -1.0 && t <= 1.0);
+      PutU8(out, internal_wire::kNumericEntry);
+      PutF64(out, scale * scalar_->Perturb(t, rng));
+    } else {
+      const uint32_t v = row.category(attribute);
+      LDP_DCHECK(v < schema_[attribute].domain_size);
+      PutU8(out, internal_wire::kCategoricalEntry);
+      oracles_[attribute]->PerturbInto(v, rng, out);
+    }
+  }
+}
+
+void MixedTupleCollector::PerturbInto(const MixedTuple& tuple, Rng* rng,
+                                      std::string* out) const {
+  LDP_CHECK(tuple.size() == schema_.size());
+  WriteReport(TupleRow{tuple}, rng, out);
+}
+
+void MixedTupleCollector::PerturbInto(const std::vector<double>& tuple,
+                                      Rng* rng, std::string* out) const {
+  LDP_CHECK(tuple.size() == schema_.size());
+  WriteReport(NumericRow{tuple}, rng, out);
 }
 
 MixedReport MixedTupleCollector::Perturb(const MixedTuple& tuple,

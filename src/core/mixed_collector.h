@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -104,14 +105,33 @@ class MixedTupleCollector {
   /// `numeric_kind` is the scalar mechanism for numeric attributes (HM in the
   /// paper's experiments); `categorical_kind` is the frequency oracle for
   /// categorical attributes (OUE in the paper). Fails on an empty schema, a
-  /// bad budget, or a categorical attribute with fewer than 2 values.
+  /// bad budget, a categorical attribute with fewer than 2 values, or a
+  /// protocol the wire format cannot carry: k or an oracle's
+  /// MaxReportSize() above UINT16_MAX (both travel as u16 counts).
   static Result<MixedTupleCollector> Create(
       std::vector<MixedAttribute> schema, double epsilon,
       MechanismKind numeric_kind = MechanismKind::kHybrid,
       FrequencyOracleKind categorical_kind = FrequencyOracleKind::kOue);
 
   /// Perturbs one user tuple (size d, numeric coordinates in [-1, 1],
-  /// categorical coordinates within their domains) into a k-entry report.
+  /// categorical coordinates within their domains) and appends the k-entry
+  /// report to `out` in its wire form (core/wire.h), with no intermediate
+  /// MixedReport: the sampled attributes live in stack slots and each
+  /// oracle writes its payload in place (FrequencyOracle::PerturbInto).
+  /// Allocates nothing once `out` has MaxReportBytes() of spare capacity.
+  void PerturbInto(const MixedTuple& tuple, Rng* rng, std::string* out) const;
+
+  /// PerturbInto over a pure-numeric tuple (one value per attribute); the
+  /// schema must be all-numeric.
+  void PerturbInto(const std::vector<double>& tuple, Rng* rng,
+                   std::string* out) const;
+
+  /// The most bytes one PerturbInto call can append.
+  size_t MaxReportBytes() const { return max_report_bytes_; }
+
+  /// Reference form of PerturbInto: the same draws as a materialized
+  /// MixedReport, which EncodeMixedReport turns into the same bytes. Tests
+  /// compare the in-place writer against it.
   MixedReport Perturb(const MixedTuple& tuple, Rng* rng) const;
 
   double epsilon() const { return epsilon_; }
@@ -153,7 +173,8 @@ class MixedTupleCollector {
       std::vector<MixedAttribute> schema, double epsilon, uint32_t k,
       MechanismKind numeric_kind, FrequencyOracleKind categorical_kind,
       std::shared_ptr<const ScalarMechanism> scalar,
-      std::vector<std::shared_ptr<const FrequencyOracle>> oracles)
+      std::vector<std::shared_ptr<const FrequencyOracle>> oracles,
+      size_t max_report_bytes)
       : schema_(std::move(schema)),
         epsilon_(epsilon),
         k_(k),
@@ -161,7 +182,11 @@ class MixedTupleCollector {
         numeric_kind_(numeric_kind),
         categorical_kind_(categorical_kind),
         scalar_(std::move(scalar)),
-        oracles_(std::move(oracles)) {}
+        oracles_(std::move(oracles)),
+        max_report_bytes_(max_report_bytes) {}
+
+  template <typename Row>
+  void WriteReport(const Row& row, Rng* rng, std::string* out) const;
 
   std::vector<MixedAttribute> schema_;
   double epsilon_;
@@ -173,6 +198,7 @@ class MixedTupleCollector {
   // One oracle per attribute (null at numeric positions); oracles with equal
   // domain sizes are shared.
   std::vector<std::shared_ptr<const FrequencyOracle>> oracles_;
+  size_t max_report_bytes_;
 };
 
 /// The server half: accumulates MixedReports and produces estimates.

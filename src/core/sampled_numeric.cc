@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/mixed_collector.h"
 #include "core/variance.h"
+#include "core/wire.h"
 #include "util/check.h"
 #include "util/sampling.h"
 
@@ -26,6 +28,10 @@ Result<SampledNumericMechanism> SampledNumericMechanism::CreateWithSampleCount(
   if (k < 1 || k > dimension) {
     return Status::InvalidArgument("sample count k must be in [1, dimension]");
   }
+  if (k > UINT16_MAX) {
+    return Status::InvalidArgument(
+        "a report carries its entry count as u16: k exceeds 65535");
+  }
   std::unique_ptr<ScalarMechanism> scalar;
   LDP_ASSIGN_OR_RETURN(scalar, MakeScalarMechanism(kind, epsilon / k));
   return SampledNumericMechanism(std::move(scalar), epsilon, dimension, k);
@@ -35,16 +41,48 @@ SampledNumericReport SampledNumericMechanism::Perturb(
     const std::vector<double>& tuple, Rng* rng) const {
   LDP_CHECK(tuple.size() == dimension_);
   const double scale = static_cast<double>(dimension_) / k_;
-  const std::vector<uint32_t> sampled =
-      SampleWithoutReplacement(dimension_, k_, rng);
+  SampleSlots slots(k_);
+  uint32_t* const sampled = slots.data();
+  SampleWithoutReplacement(dimension_, k_, rng, sampled);
   SampledNumericReport report;
   report.reserve(k_);
-  for (const uint32_t attribute : sampled) {
+  for (uint32_t i = 0; i < k_; ++i) {
+    const uint32_t attribute = sampled[i];
     LDP_DCHECK(tuple[attribute] >= -1.0 && tuple[attribute] <= 1.0);
     const double noisy = scalar_->Perturb(tuple[attribute], rng);
     report.push_back(SampledValue{attribute, scale * noisy});
   }
   return report;
+}
+
+template <typename ValueOf>
+void SampledNumericMechanism::WriteReport(ValueOf value_of, Rng* rng,
+                                          std::string* out) const {
+  const double scale = static_cast<double>(dimension_) / k_;
+  SampleSlots slots(k_);
+  uint32_t* const sampled = slots.data();
+  SampleWithoutReplacement(dimension_, k_, rng, sampled);
+  internal_wire::PutU16(out, static_cast<uint16_t>(k_));
+  for (uint32_t i = 0; i < k_; ++i) {
+    const uint32_t attribute = sampled[i];
+    const double t = value_of(attribute);
+    LDP_DCHECK(t >= -1.0 && t <= 1.0);
+    internal_wire::PutU32(out, attribute);
+    internal_wire::PutF64(out, scale * scalar_->Perturb(t, rng));
+  }
+}
+
+void SampledNumericMechanism::PerturbInto(const std::vector<double>& tuple,
+                                          Rng* rng, std::string* out) const {
+  LDP_CHECK(tuple.size() == dimension_);
+  WriteReport([&](uint32_t j) { return tuple[j]; }, rng, out);
+}
+
+void SampledNumericMechanism::PerturbInto(
+    const std::vector<AttributeValue>& tuple, Rng* rng,
+    std::string* out) const {
+  LDP_CHECK(tuple.size() == dimension_);
+  WriteReport([&](uint32_t j) { return tuple[j].numeric; }, rng, out);
 }
 
 std::vector<double> SampledNumericMechanism::PerturbDense(

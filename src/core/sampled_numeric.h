@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -23,6 +24,8 @@
 #include "util/result.h"
 
 namespace ldp {
+
+struct AttributeValue;  // core/mixed_collector.h
 
 /// One sampled attribute of a numeric report: the attribute index and the
 /// d/k-scaled noisy value.
@@ -50,7 +53,8 @@ class SampledNumericMechanism {
                                                 uint32_t dimension);
 
   /// As Create, but overrides the Eq.-12 sample count with an explicit k in
-  /// [1, dimension]; used by the k-ablation benchmark.
+  /// [1, dimension]; used by the k-ablation benchmark. Fails for a k above
+  /// UINT16_MAX, which the wire's u16 entry count cannot carry.
   static Result<SampledNumericMechanism> CreateWithSampleCount(
       MechanismKind kind, double epsilon, uint32_t dimension, uint32_t k);
 
@@ -58,6 +62,20 @@ class SampledNumericMechanism {
   /// of k (attribute, scaled noisy value) pairs.
   SampledNumericReport Perturb(const std::vector<double>& tuple,
                                Rng* rng) const;
+
+  /// Perturb, appending the report to `out` in its wire form (core/wire.h)
+  /// instead of materializing it: the same draws and the same values.
+  /// Allocates nothing once `out` has MaxReportBytes() of spare capacity.
+  void PerturbInto(const std::vector<double>& tuple, Rng* rng,
+                   std::string* out) const;
+
+  /// PerturbInto over a mixed-form tuple, reading each `numeric` field.
+  void PerturbInto(const std::vector<AttributeValue>& tuple, Rng* rng,
+                   std::string* out) const;
+
+  /// The bytes one PerturbInto call appends: u16 count, then k × (u32
+  /// attribute, f64 value).
+  size_t MaxReportBytes() const { return 2 + 12 * static_cast<size_t>(k_); }
 
   /// Dense convenience form: the report expanded to a length-d vector with
   /// zeros at unsampled positions, so the aggregator's mean estimator is the
@@ -86,6 +104,9 @@ class SampledNumericMechanism {
   double WorstCaseCoordinateVariance() const;
 
  private:
+  template <typename ValueOf>
+  void WriteReport(ValueOf value_of, Rng* rng, std::string* out) const;
+
   SampledNumericMechanism(std::unique_ptr<ScalarMechanism> scalar,
                           double epsilon, uint32_t dimension, uint32_t k)
       : scalar_(std::move(scalar)),

@@ -19,6 +19,11 @@
 // from the frame's bytes; the materializing DecodeMixedReport (tools and
 // tests) instantiates it with a sink that rebuilds a MixedReport. The two
 // can therefore never diverge on what they accept.
+//
+// Clients write reports in place (MixedTupleCollector::PerturbInto and
+// SampledNumericMechanism::PerturbInto, behind api::ClientSession). The
+// Encode* functions below serialise a materialized report instead; they are
+// the reference the in-place writers are tested against.
 
 #ifndef LDP_CORE_WIRE_H_
 #define LDP_CORE_WIRE_H_
@@ -33,62 +38,16 @@
 #include "core/numeric_aggregator.h"
 #include "core/sampled_numeric.h"
 #include "frequency/frequency_oracle.h"
+#include "util/little_endian.h"
 #include "util/result.h"
 
 namespace ldp {
 
 namespace internal_wire {
 
-// Little-endian primitive writers/readers over a std::string buffer, shared
-// by the report codecs here and the stream framing layer (stream/). Loads
-// and stores go through std::memcpy (single mov on x86/ARM) rather than
-// byte-at-a-time shift loops; big-endian hosts byte-swap after the copy.
-// The reader tracks a cursor and fails closed on truncation.
-
-#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
-inline uint16_t ToLittleEndian(uint16_t v) { return __builtin_bswap16(v); }
-inline uint32_t ToLittleEndian(uint32_t v) { return __builtin_bswap32(v); }
-inline uint64_t ToLittleEndian(uint64_t v) { return __builtin_bswap64(v); }
-#else
-inline uint16_t ToLittleEndian(uint16_t v) { return v; }
-inline uint32_t ToLittleEndian(uint32_t v) { return v; }
-inline uint64_t ToLittleEndian(uint64_t v) { return v; }
-#endif
-
-template <typename T>
-inline T LoadLittleEndian(const char* data) {
-  T value;
-  std::memcpy(&value, data, sizeof(T));
-  return ToLittleEndian(value);
-}
-
-template <typename T>
-inline void PutLittleEndian(std::string* out, T value) {
-  const T wire = ToLittleEndian(value);
-  out->append(reinterpret_cast<const char*>(&wire), sizeof(T));
-}
-
-inline void PutU8(std::string* out, uint8_t value) {
-  out->push_back(static_cast<char>(value));
-}
-
-inline void PutU16(std::string* out, uint16_t value) {
-  PutLittleEndian(out, value);
-}
-
-inline void PutU32(std::string* out, uint32_t value) {
-  PutLittleEndian(out, value);
-}
-
-inline void PutU64(std::string* out, uint64_t value) {
-  PutLittleEndian(out, value);
-}
-
-inline void PutF64(std::string* out, double value) {
-  uint64_t bits = 0;
-  std::memcpy(&bits, &value, sizeof(bits));
-  PutU64(out, bits);
-}
+// The little-endian writers (util/little_endian.h) are shared by the report
+// codecs here and the stream framing layer (stream/). The reader tracks a
+// cursor and fails closed on truncation.
 
 class Reader {
  public:

@@ -87,6 +87,20 @@ ReportView WireViewOf(const FrequencyOracle::Report& report,
 
 }  // namespace
 
+FrequencyOracle::Report FrequencyOracle::WordsOf(const std::string& wire) {
+  const ReportView view(wire.data() + 2, (wire.size() - 2) / 4);
+  Report report(view.size());
+  for (size_t i = 0; i < view.size(); ++i) report[i] = view[i];
+  return report;
+}
+
+FrequencyOracle::Report FrequencyOracle::Perturb(uint32_t value,
+                                                 Rng* rng) const {
+  std::string wire;
+  PerturbInto(value, rng, &wire);
+  return WordsOf(wire);
+}
+
 Status FrequencyOracle::ValidateReport(const Report& report) const {
   Report scratch;
   const char* rejection = ValidateView(WireViewOf(report, &scratch));

@@ -7,11 +7,12 @@
 // plug-in point of the paper's Section IV-C: the mixed-attribute collector
 // routes each sampled categorical attribute through an oracle at budget ε/k.
 //
-// The protocol is split into the client half (Perturb) and the server half
-// (ValidateView + AccumulateView + Estimate) so that simulation harnesses
-// can route reports through arbitrary collection topologies. The server
-// half reads a report where it arrived, as little-endian words inside a
-// wire frame (ReportView), so ingest never copies a payload; the concrete
+// The protocol is split into the client half (PerturbInto) and the server
+// half (ValidateView + AccumulateView + Estimate) so that simulation
+// harnesses can route reports through arbitrary collection topologies. Both
+// halves work on the wire form: the client appends a report's little-endian
+// words to the frame it is writing, and the server reads them where they
+// arrived (ReportView), so neither side copies a payload; the concrete
 // oracle classes define these rules inline and final, so a caller holding
 // the concrete type gets them inlined. All four oracles from the
 // literature are provided: GRR (generalized randomized response), SUE (basic
@@ -23,10 +24,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "util/little_endian.h"
 #include "util/random.h"
 #include "util/result.h"
 #include "util/status.h"
@@ -57,12 +59,7 @@ class ReportView {
   size_t size() const { return size_; }
 
   uint32_t operator[](size_t i) const {
-    uint32_t word;
-    std::memcpy(&word, bytes_ + 4 * i, sizeof(word));
-#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
-    word = __builtin_bswap32(word);
-#endif
-    return word;
+    return internal_wire::LoadLittleEndian<uint32_t>(bytes_ + 4 * i);
   }
 
  private:
@@ -72,9 +69,9 @@ class ReportView {
 
 /// An ε-LDP randomizer for one categorical value with domain {0, ..., k-1}.
 ///
-/// Thread-safety: instances are immutable after construction; Perturb only
-/// mutates the caller-supplied Rng, so one instance may be shared across
-/// threads as long as each thread owns its Rng.
+/// Thread-safety: instances are immutable after construction; PerturbInto
+/// only mutates the caller-supplied Rng and buffer, so one instance may be
+/// shared across threads as long as each thread owns its Rng.
 class FrequencyOracle {
  public:
   /// A single user's privatized report. The encoding is oracle-specific
@@ -85,8 +82,20 @@ class FrequencyOracle {
 
   virtual ~FrequencyOracle() = default;
 
-  /// Produces the privatized report for true value `value` (< domain_size).
-  virtual Report Perturb(uint32_t value, Rng* rng) const = 0;
+  /// The randomizer: produces the privatized report for true value `value`
+  /// (< domain_size) and appends it to `out` in the wire form ReportView
+  /// reads — a little-endian u16 word count, then the little-endian u32
+  /// words. The count is exact for reports of at most UINT16_MAX words,
+  /// which MixedTupleCollector::Create guarantees by refusing any oracle
+  /// whose MaxReportSize() is larger. Allocates nothing once `out` has the
+  /// capacity (2 + 4 · MaxReportSize() bytes suffice).
+  virtual void PerturbInto(uint32_t value, Rng* rng,
+                           std::string* out) const = 0;
+
+  /// PerturbInto as an in-memory Report: the same draws and the same words
+  /// (read back by length, so any domain size works). For simulations and
+  /// tests; the wire path writes with PerturbInto directly.
+  Report Perturb(uint32_t value, Rng* rng) const;
 
   /// Checks that `report` is structurally valid for this oracle — the shape
   /// and value ranges Perturb can actually emit — so that AccumulateView
@@ -141,6 +150,24 @@ class FrequencyOracle {
  protected:
   FrequencyOracle(double epsilon, uint32_t domain_size)
       : epsilon_(epsilon), domain_size_(domain_size) {}
+
+  /// PerturbInto helpers for reports whose length is only known once
+  /// written: BeginReport reserves the u16 count and returns its offset,
+  /// EndReport patches in the number of words appended since.
+  static size_t BeginReport(std::string* out) {
+    const size_t count_at = out->size();
+    internal_wire::PutU16(out, 0);
+    return count_at;
+  }
+  static void EndReport(size_t count_at, std::string* out) {
+    internal_wire::StoreLittleEndian(
+        &(*out)[count_at],
+        static_cast<uint16_t>((out->size() - count_at - 2) / 4));
+  }
+
+  /// The words of one report written by PerturbInto into `wire` (from
+  /// offset 0), read back by length.
+  static Report WordsOf(const std::string& wire);
 
  private:
   double epsilon_;

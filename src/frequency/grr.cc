@@ -15,16 +15,18 @@ GrrOracle::GrrOracle(double epsilon, uint32_t domain_size)
   q_ = 1.0 / (e_eps + static_cast<double>(domain_size) - 1.0);
 }
 
-FrequencyOracle::Report GrrOracle::Perturb(uint32_t value, Rng* rng) const {
+void GrrOracle::PerturbInto(uint32_t value, Rng* rng,
+                            std::string* out) const {
   LDP_DCHECK(value < domain_size());
-  if (rng->Bernoulli(p_)) {
-    return {value};
+  uint32_t reported = value;
+  if (!rng->Bernoulli(p_)) {
+    // Uniform over the other k-1 values: draw from [0, k-1) and skip
+    // `value`.
+    reported = static_cast<uint32_t>(rng->UniformIndex(domain_size() - 1));
+    if (reported >= value) ++reported;
   }
-  // Uniform over the other k-1 values: draw from [0, k-1) and skip `value`.
-  uint32_t other =
-      static_cast<uint32_t>(rng->UniformIndex(domain_size() - 1));
-  if (other >= value) ++other;
-  return {other};
+  internal_wire::PutU16(out, 1);
+  internal_wire::PutU32(out, reported);
 }
 
 std::vector<double> GrrOracle::Estimate(const std::vector<uint64_t>& support,

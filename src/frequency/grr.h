@@ -18,7 +18,7 @@ class GrrOracle final : public FrequencyOracle {
   /// direct construction LDP_CHECKs).
   GrrOracle(double epsilon, uint32_t domain_size);
 
-  Report Perturb(uint32_t value, Rng* rng) const override;
+  void PerturbInto(uint32_t value, Rng* rng, std::string* out) const override;
   const char* ValidateView(ReportView report) const override {
     if (report.size() != 1) return "GRR report must carry exactly one value";
     if (report[0] >= domain_size()) {

@@ -27,19 +27,24 @@ HeOracle::HeOracle(double epsilon, uint32_t domain_size)
   LDP_CHECK(domain_size >= 2);
 }
 
-FrequencyOracle::Report HeOracle::Perturb(uint32_t value, Rng* rng) const {
+void HeOracle::PerturbInto(uint32_t value, Rng* rng,
+                           std::string* out) const {
   LDP_DCHECK(value < domain_size());
-  Report packed(domain_size());
+  internal_wire::PutU16(out, static_cast<uint16_t>(domain_size()));
+  const size_t words_at = out->size();
+  out->resize(words_at + 4 * static_cast<size_t>(domain_size()));
+  char* words = &(*out)[words_at];
   for (uint32_t v = 0; v < domain_size(); ++v) {
     const double one_hot = (v == value) ? 1.0 : 0.0;
     double noisy = one_hot + rng->Laplace(noise_scale_);
     // Clamp into the packable range; at scale 2/ε this tail is negligible
     // for any practical budget.
     noisy = Clamp(noisy, -kOffset, kOffset);
-    packed[v] = static_cast<uint32_t>(
-        std::llround((noisy + kOffset) * kFixedPointScale));
+    internal_wire::StoreLittleEndian(
+        words + 4 * static_cast<size_t>(v),
+        static_cast<uint32_t>(
+            std::llround((noisy + kOffset) * kFixedPointScale)));
   }
-  return packed;
 }
 
 std::vector<double> HeOracle::Estimate(const std::vector<uint64_t>& support,
@@ -106,16 +111,17 @@ TheOracle::TheOracle(double epsilon, uint32_t domain_size, double theta)
   q_ = LaplaceUpperTail(theta_, noise_scale_);
 }
 
-FrequencyOracle::Report TheOracle::Perturb(uint32_t value, Rng* rng) const {
+void TheOracle::PerturbInto(uint32_t value, Rng* rng,
+                            std::string* out) const {
   LDP_DCHECK(value < domain_size());
-  Report set_bits;
+  const size_t count_at = BeginReport(out);
   for (uint32_t v = 0; v < domain_size(); ++v) {
     const double one_hot = (v == value) ? 1.0 : 0.0;
     if (one_hot + rng->Laplace(noise_scale_) > theta_) {
-      set_bits.push_back(v);
+      internal_wire::PutU32(out, v);
     }
   }
-  return set_bits;
+  EndReport(count_at, out);
 }
 
 std::vector<double> TheOracle::Estimate(const std::vector<uint64_t>& support,

@@ -38,7 +38,7 @@ class HeOracle final : public FrequencyOracle {
 
   HeOracle(double epsilon, uint32_t domain_size);
 
-  Report Perturb(uint32_t value, Rng* rng) const override;
+  void PerturbInto(uint32_t value, Rng* rng, std::string* out) const override;
   const char* ValidateView(ReportView report) const override {
     if (report.size() != domain_size()) {
       return "HE report must carry one component per domain value";
@@ -69,7 +69,7 @@ class TheOracle final : public FrequencyOracle {
   /// Explicit threshold θ ∈ (0.5, 1) (exposed for the threshold ablation).
   TheOracle(double epsilon, uint32_t domain_size, double theta);
 
-  Report Perturb(uint32_t value, Rng* rng) const override;
+  void PerturbInto(uint32_t value, Rng* rng, std::string* out) const override;
   const char* ValidateView(ReportView report) const override {
     if (report.size() > domain_size()) {
       return "THE report has more bits than the domain";

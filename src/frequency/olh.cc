@@ -17,7 +17,8 @@ OlhOracle::OlhOracle(double epsilon, uint32_t domain_size)
   p_ = e_eps / (e_eps + static_cast<double>(hash_range_) - 1.0);
 }
 
-FrequencyOracle::Report OlhOracle::Perturb(uint32_t value, Rng* rng) const {
+void OlhOracle::PerturbInto(uint32_t value, Rng* rng,
+                            std::string* out) const {
   LDP_DCHECK(value < domain_size());
   const uint64_t seed = rng->Next();
   uint32_t bucket = HashToBucket(seed, value, hash_range_);
@@ -27,8 +28,10 @@ FrequencyOracle::Report OlhOracle::Perturb(uint32_t value, Rng* rng) const {
     if (other >= bucket) ++other;
     bucket = other;
   }
-  return {static_cast<uint32_t>(seed & 0xffffffffULL),
-          static_cast<uint32_t>(seed >> 32), bucket};
+  internal_wire::PutU16(out, 3);
+  internal_wire::PutU32(out, static_cast<uint32_t>(seed & 0xffffffffULL));
+  internal_wire::PutU32(out, static_cast<uint32_t>(seed >> 32));
+  internal_wire::PutU32(out, bucket);
 }
 
 std::vector<double> OlhOracle::Estimate(const std::vector<uint64_t>& support,

@@ -18,7 +18,7 @@ class OlhOracle final : public FrequencyOracle {
  public:
   OlhOracle(double epsilon, uint32_t domain_size);
 
-  Report Perturb(uint32_t value, Rng* rng) const override;
+  void PerturbInto(uint32_t value, Rng* rng, std::string* out) const override;
   const char* ValidateView(ReportView report) const override {
     if (report.size() != 3) {
       return "OLH report must carry {seed_lo, seed_hi, bucket}";

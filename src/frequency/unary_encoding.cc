@@ -14,27 +14,44 @@ UnaryEncodingOracle::UnaryEncodingOracle(double epsilon, uint32_t domain_size,
   LDP_CHECK(0.0 < q && q < p && p <= 1.0);
 }
 
-FrequencyOracle::Report UnaryEncodingOracle::Perturb(uint32_t value,
-                                                     Rng* rng) const {
-  if (q_ <= kSkipSamplingMaxQ) return PerturbSkip(value, rng);
-  return PerturbPerBit(value, rng);
+void UnaryEncodingOracle::PerturbInto(uint32_t value, Rng* rng,
+                                      std::string* out) const {
+  if (q_ <= kSkipSamplingMaxQ) {
+    SkipInto(value, rng, out);
+  } else {
+    PerBitInto(value, rng, out);
+  }
 }
 
 FrequencyOracle::Report UnaryEncodingOracle::PerturbPerBit(uint32_t value,
                                                            Rng* rng) const {
-  LDP_DCHECK(value < domain_size());
-  Report set_bits;
-  for (uint32_t bit = 0; bit < domain_size(); ++bit) {
-    const double keep_prob = (bit == value) ? p_ : q_;
-    if (rng->Bernoulli(keep_prob)) set_bits.push_back(bit);
-  }
-  return set_bits;
+  std::string wire;
+  PerBitInto(value, rng, &wire);
+  return WordsOf(wire);
 }
 
 FrequencyOracle::Report UnaryEncodingOracle::PerturbSkip(uint32_t value,
                                                          Rng* rng) const {
+  std::string wire;
+  SkipInto(value, rng, &wire);
+  return WordsOf(wire);
+}
+
+void UnaryEncodingOracle::PerBitInto(uint32_t value, Rng* rng,
+                                     std::string* out) const {
   LDP_DCHECK(value < domain_size());
-  Report set_bits;
+  const size_t count_at = BeginReport(out);
+  for (uint32_t bit = 0; bit < domain_size(); ++bit) {
+    const double keep_prob = (bit == value) ? p_ : q_;
+    if (rng->Bernoulli(keep_prob)) internal_wire::PutU32(out, bit);
+  }
+  EndReport(count_at, out);
+}
+
+void UnaryEncodingOracle::SkipInto(uint32_t value, Rng* rng,
+                                   std::string* out) const {
+  LDP_DCHECK(value < domain_size());
+  const size_t count_at = BeginReport(out);
   const bool true_bit = rng->Bernoulli(p_);
   bool true_bit_pending = true_bit;
   // The d-1 non-true bits form a virtual array of i.i.d. Bernoulli(q)
@@ -50,14 +67,14 @@ FrequencyOracle::Report UnaryEncodingOracle::PerturbSkip(uint32_t value,
     const uint32_t bit = position < value ? static_cast<uint32_t>(position)
                                           : static_cast<uint32_t>(position) + 1;
     if (true_bit_pending && value < bit) {
-      set_bits.push_back(value);
+      internal_wire::PutU32(out, value);
       true_bit_pending = false;
     }
-    set_bits.push_back(bit);
+    internal_wire::PutU32(out, bit);
     if (++position == virtual_size) break;
   }
-  if (true_bit_pending) set_bits.push_back(value);
-  return set_bits;
+  if (true_bit_pending) internal_wire::PutU32(out, value);
+  EndReport(count_at, out);
 }
 
 std::vector<double> UnaryEncodingOracle::Estimate(

@@ -10,7 +10,7 @@
 // Perturb cost: the naive encoding draws one Bernoulli per domain value —
 // O(d) RNG work per report, the compute-dominant regime for unary oracles at
 // large domains. When q is small the set of flipped-on zero-bits is sparse,
-// so Perturb instead samples the gaps between set bits geometrically
+// so PerturbInto instead samples the gaps between set bits geometrically
 // (expected O(q·d + 1) draws); the report distribution is identical (the
 // run lengths between successes of i.i.d. Bernoulli(q) trials are i.i.d.
 // geometric). Both implementations are exposed so tests can verify the
@@ -31,17 +31,18 @@ class UnaryEncodingOracle : public FrequencyOracle {
   /// once set bits are expected at least ~5 positions apart.
   static constexpr double kSkipSamplingMaxQ = 0.2;
 
-  /// Dispatches to PerturbSkip when q <= kSkipSamplingMaxQ, else PerturbPerBit.
-  Report Perturb(uint32_t value, Rng* rng) const override;
+  /// Writes with the gap-skipping encoder when q <= kSkipSamplingMaxQ,
+  /// else with the per-bit one.
+  void PerturbInto(uint32_t value, Rng* rng, std::string* out) const final;
 
   /// Reference O(d) implementation: one Bernoulli per domain value, in bit
-  /// order.
+  /// order (the per-bit encoder, read back as a Report).
   Report PerturbPerBit(uint32_t value, Rng* rng) const;
 
   /// Sublinear implementation: one Bernoulli for the true bit, then the
   /// q-probability bits via geometric gap skipping — expected O(q·d + 1)
   /// draws. Identically distributed to PerturbPerBit (different Rng
-  /// consumption).
+  /// consumption); the gap-skipping encoder, read back as a Report.
   Report PerturbSkip(uint32_t value, Rng* rng) const;
 
   // Final here so the ingest path, which holds the oracle as a
@@ -79,6 +80,10 @@ class UnaryEncodingOracle : public FrequencyOracle {
   UnaryEncodingOracle(double epsilon, uint32_t domain_size, double p, double q);
 
  private:
+  // The two encoders behind PerturbInto, PerturbPerBit and PerturbSkip.
+  void PerBitInto(uint32_t value, Rng* rng, std::string* out) const;
+  void SkipInto(uint32_t value, Rng* rng, std::string* out) const;
+
   double p_;
   double q_;
 };

@@ -90,10 +90,10 @@ class CollectorClient {
   Result<uint32_t> OpenShard(const stream::StreamHeader& header,
                              uint64_t ordinal);
 
-  /// Stages raw frame bytes (stream::AppendFrame output) for `channel`'s
-  /// shard, flushing full DATA messages as its buffer fills. On failure
-  /// the returned status carries the server's ERROR verdict when one is
-  /// pending (e.g. this client's stream poisoned its shard).
+  /// Stages raw frame bytes (api::ClientSession::AppendReport output) for
+  /// `channel`'s shard, flushing full DATA messages as its buffer fills.
+  /// On failure the returned status carries the server's ERROR verdict
+  /// when one is pending (e.g. this client's stream poisoned its shard).
   Status Send(uint32_t channel, const char* data, size_t size);
 
   /// Flushes `channel` and declares end-of-stream, without waiting for the

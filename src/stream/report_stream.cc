@@ -271,12 +271,35 @@ Status CheckHeadersCompatible(const StreamHeader& expected,
   return Status::OK();
 }
 
+namespace {
+
+Status OversizedFrame() {
+  return Status::InvalidArgument("frame payload exceeds kMaxFrameBytes");
+}
+
+}  // namespace
+
 Status AppendFrame(const std::string& payload, std::string* out) {
-  if (payload.size() > kMaxFrameBytes) {
-    return Status::InvalidArgument("frame payload exceeds kMaxFrameBytes");
-  }
+  if (payload.size() > kMaxFrameBytes) return OversizedFrame();
   PutU32(out, static_cast<uint32_t>(payload.size()));
   out->append(payload);
+  return Status::OK();
+}
+
+size_t BeginFrame(std::string* out) {
+  const size_t frame_at = out->size();
+  PutU32(out, 0);
+  return frame_at;
+}
+
+Status EndFrame(size_t frame_at, std::string* out) {
+  const size_t payload_size = out->size() - frame_at - 4;
+  if (payload_size > kMaxFrameBytes) {
+    out->resize(frame_at);
+    return OversizedFrame();
+  }
+  internal_wire::StoreLittleEndian(&(*out)[frame_at],
+                                   static_cast<uint32_t>(payload_size));
   return Status::OK();
 }
 
@@ -299,15 +322,17 @@ Status ReportStreamWriter::WriteNumericReport(
 }
 
 Status ReportStreamWriter::WriteFrame(const std::string& payload) {
-  std::string framed;
-  framed.reserve(4 + payload.size());
-  LDP_RETURN_IF_ERROR(AppendFrame(payload, &framed));
-  out_->write(framed.data(), static_cast<std::streamsize>(framed.size()));
+  if (payload.size() > kMaxFrameBytes) return OversizedFrame();
+  char prefix[4] = {};
+  internal_wire::StoreLittleEndian(prefix,
+                                   static_cast<uint32_t>(payload.size()));
+  out_->write(prefix, sizeof(prefix));
+  out_->write(payload.data(), static_cast<std::streamsize>(payload.size()));
   if (!out_->good()) {
     return Status::IoError("short write on report stream");
   }
   ++frames_written_;
-  bytes_written_ += framed.size();
+  bytes_written_ += sizeof(prefix) + payload.size();
   return Status::OK();
 }
 

@@ -113,6 +113,14 @@ Status CheckHeadersCompatible(const StreamHeader& expected,
 /// kMaxFrameBytes.
 Status AppendFrame(const std::string& payload, std::string* out);
 
+/// In-place framing, for payloads written straight into `out`: BeginFrame
+/// appends a placeholder length prefix and returns the frame's offset, the
+/// caller appends the payload, and EndFrame patches the length in. A
+/// payload above kMaxFrameBytes truncates `out` back to the frame's offset
+/// and fails with AppendFrame's InvalidArgument.
+size_t BeginFrame(std::string* out);
+Status EndFrame(size_t frame_at, std::string* out);
+
 /// Client-side stream producer over any std::ostream. Writes the header on
 /// construction; one Write* call per user report.
 class ReportStreamWriter {
@@ -127,7 +135,8 @@ class ReportStreamWriter {
   /// Encodes and frames one Algorithm-4 numeric report.
   Status WriteNumericReport(const SampledNumericReport& report);
 
-  /// Frames an already-encoded payload.
+  /// Frames an already-encoded payload: the length prefix, then the
+  /// payload, written to the stream without an intermediate copy.
   Status WriteFrame(const std::string& payload);
 
   /// Frames written so far (excluding the header).

@@ -2,30 +2,27 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 
 #include "util/check.h"
 
 namespace ldp {
 
+void SampleWithoutReplacement(uint32_t n, uint32_t k, Rng* rng,
+                              uint32_t* out) {
+  LDP_CHECK(k <= n);
+  // Robert Floyd: for j = n-k .. n-1, pick t in [0, j]; take t unless taken,
+  // in which case take j (never taken yet: every earlier pick is < j). Every
+  // k-subset is equally likely.
+  for (uint32_t i = 0, j = n - k; j < n; ++i, ++j) {
+    const auto t = static_cast<uint32_t>(rng->UniformIndex(j + 1));
+    out[i] = std::find(out, out + i, t) == out + i ? t : j;
+  }
+}
+
 std::vector<uint32_t> SampleWithoutReplacement(uint32_t n, uint32_t k,
                                                Rng* rng) {
-  LDP_CHECK(k <= n);
-  std::vector<uint32_t> out;
-  out.reserve(k);
-  std::unordered_set<uint32_t> chosen;
-  chosen.reserve(k * 2);
-  // Robert Floyd: for j = n-k .. n-1, pick t in [0, j]; insert t unless taken,
-  // in which case insert j. Every k-subset is equally likely.
-  for (uint32_t j = n - k; j < n; ++j) {
-    const auto t = static_cast<uint32_t>(rng->UniformIndex(j + 1));
-    if (chosen.insert(t).second) {
-      out.push_back(t);
-    } else {
-      chosen.insert(j);
-      out.push_back(j);
-    }
-  }
+  std::vector<uint32_t> out(k);
+  SampleWithoutReplacement(n, k, rng, out.data());
   return out;
 }
 

@@ -11,11 +11,34 @@
 
 namespace ldp {
 
-/// Samples `k` distinct indices uniformly from {0, ..., n-1} using Robert
-/// Floyd's algorithm (O(k) expected time, no O(n) scratch). The returned
-/// order is not uniform over permutations; callers that need a uniformly
-/// random *sequence* should shuffle the result.
+/// Samples `k` distinct indices uniformly from {0, ..., n-1} into
+/// out[0, k) using Robert Floyd's algorithm: k UniformIndex draws and no
+/// O(n) scratch. Membership is a linear scan of the slots filled so far
+/// (O(k²) compares, no allocation), which beats a hash set at the small k
+/// of Eq. 12. The order is not uniform over permutations; callers that need
+/// a uniformly random *sequence* should shuffle the result.
+void SampleWithoutReplacement(uint32_t n, uint32_t k, Rng* rng, uint32_t* out);
+
+/// SampleWithoutReplacement into a fresh vector: the same draws, the same
+/// indices in the same order.
 std::vector<uint32_t> SampleWithoutReplacement(uint32_t n, uint32_t k, Rng* rng);
+
+/// Caller-owned scratch for k sample slots: on the stack for k <= kInline
+/// (every Eq.-12 k below ε = 42.5), on the heap beyond.
+class SampleSlots {
+ public:
+  static constexpr uint32_t kInline = 16;
+
+  explicit SampleSlots(uint32_t k) {
+    if (k > kInline) heap_.resize(k);
+  }
+
+  uint32_t* data() { return heap_.empty() ? inline_ : heap_.data(); }
+
+ private:
+  uint32_t inline_[kInline] = {};
+  std::vector<uint32_t> heap_;
+};
 
 /// In-place Fisher-Yates shuffle.
 template <typename T>

@@ -13,6 +13,7 @@
 #include <sstream>
 #include <string>
 
+#include "allocation_counter.h"
 #include "api/pipeline.h"
 #include "api/server_session.h"
 #include "core/mixed_collector.h"
@@ -45,6 +46,10 @@ void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete(void* p, const std::nothrow_t&) noexcept {
   std::free(p);
+}
+
+uint64_t HeapAllocationCount() {
+  return g_allocation_count.load(std::memory_order_relaxed);
 }
 
 namespace ldp::stream {

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <unordered_set>
 
 #include "test_util.h"
 
@@ -49,6 +50,57 @@ TEST(SampleWithoutReplacementTest, SingleElementDomain) {
   const std::vector<uint32_t> sample = SampleWithoutReplacement(1, 1, &rng);
   ASSERT_EQ(sample.size(), 1u);
   EXPECT_EQ(sample[0], 0u);
+}
+
+// Floyd's algorithm over a hash set, as the sampler was first written: the
+// reference the slot-buffer sampler must reproduce draw for draw.
+std::vector<uint32_t> HashSetFloyd(uint32_t n, uint32_t k, Rng* rng) {
+  std::vector<uint32_t> out;
+  std::unordered_set<uint32_t> chosen;
+  for (uint32_t j = n - k; j < n; ++j) {
+    const auto t = static_cast<uint32_t>(rng->UniformIndex(j + 1));
+    if (chosen.insert(t).second) {
+      out.push_back(t);
+    } else {
+      chosen.insert(j);
+      out.push_back(j);
+    }
+  }
+  return out;
+}
+
+TEST(SampleWithoutReplacementTest, BufferAndVectorSamplersMakeTheSameDraws) {
+  for (const uint32_t n : {1u, 2u, 5u, 8u, 16u, 100u}) {
+    for (uint32_t k = 0; k <= n && k <= 40; ++k) {
+      for (uint64_t seed = 0; seed < 20; ++seed) {
+        Rng reference_rng(seed), buffer_rng(seed), vector_rng(seed);
+        const std::vector<uint32_t> expected =
+            HashSetFloyd(n, k, &reference_rng);
+        std::vector<uint32_t> slots(k + 1, 0xdeadbeef);
+        SampleWithoutReplacement(n, k, &buffer_rng, slots.data());
+        EXPECT_TRUE(std::equal(expected.begin(), expected.end(),
+                               slots.begin()))
+            << "n=" << n << " k=" << k << " seed=" << seed;
+        EXPECT_EQ(slots[k], 0xdeadbeef) << "wrote past slot k";
+        EXPECT_EQ(SampleWithoutReplacement(n, k, &vector_rng), expected);
+        // Same number of draws: the generators stay in step.
+        const uint64_t next = reference_rng.Next();
+        EXPECT_EQ(buffer_rng.Next(), next);
+        EXPECT_EQ(vector_rng.Next(), next);
+      }
+    }
+  }
+}
+
+TEST(SampleSlotsTest, HoldsKSlotsInlineOrOnTheHeap) {
+  for (const uint32_t k : {1u, SampleSlots::kInline, SampleSlots::kInline + 1,
+                           1000u}) {
+    SampleSlots slots(k);
+    Rng rng(k);
+    SampleWithoutReplacement(2000, k, &rng, slots.data());
+    std::set<uint32_t> unique(slots.data(), slots.data() + k);
+    EXPECT_EQ(unique.size(), k);
+  }
 }
 
 TEST(ShuffleTest, ProducesPermutation) {

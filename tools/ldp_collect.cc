@@ -35,7 +35,6 @@
 #include "data/csv.h"
 #include "data/schema_text.h"
 #include "tool_flags.h"
-#include "stream/report_stream.h"
 
 namespace {
 
@@ -173,12 +172,7 @@ int main(int argc, char** argv) {
     if (!more.value()) break;
     api::RowToTuple(schema.value(), numeric_row, category_row, &tuple);
     Rng rng = api::UserRng(seed, n);
-    auto payload = client.value().EncodeReport(tuple, &rng);
-    if (!payload.ok()) {
-      std::fprintf(stderr, "%s\n", payload.status().ToString().c_str());
-      return 1;
-    }
-    Status framed = stream::AppendFrame(payload.value(), &buffer);
+    Status framed = client.value().AppendReport(tuple, &rng, &buffer);
     if (framed.ok() && buffer.size() >= 64 * 1024) {
       framed = session.Feed(shard, buffer);
       buffer.clear();
