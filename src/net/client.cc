@@ -3,9 +3,16 @@
 #include <algorithm>
 #include <utility>
 
-#include "core/wire.h"
-
 namespace ldp::net {
+
+namespace {
+
+// What one socket read asks for. Replies are small, so one read usually
+// brings every reply the server sent for one event — a HELLO_OK and the
+// SHARD_CLOSED verdicts queued ahead of it.
+constexpr size_t kReadChunkBytes = 16u << 10;
+
+}  // namespace
 
 Result<CollectorClient> CollectorClient::Connect(
     const Endpoint& endpoint, const stream::StreamHeader& header,
@@ -53,10 +60,10 @@ Status CollectorClient::Negotiate(const stream::StreamHeader& header,
         ComputeHelloTag(options_.campaign_key, options_.reporter_id, channel,
                         epoch_, hello.header_bytes);
   }
-  std::string wire;
+  wire_.clear();
   LDP_RETURN_IF_ERROR(
-      AppendMessage(MessageType::kHello, EncodeHello(hello), &wire));
-  LDP_RETURN_IF_ERROR(socket_.SendAll(wire));
+      AppendMessage(MessageType::kHello, EncodeHello(hello), &wire_));
+  LDP_RETURN_IF_ERROR(socket_.SendAll(wire_));
   std::string payload;
   LDP_ASSIGN_OR_RETURN(payload, AwaitReply(MessageType::kHelloOk, channel));
   HelloOkMessage ok;
@@ -102,23 +109,33 @@ uint64_t CollectorClient::resume_offset(uint32_t channel) const {
 }
 
 Result<std::pair<MessageType, std::string>> CollectorClient::ReadMessage() {
-  char prefix[kMessageHeaderBytes];
-  Result<bool> got = socket_.RecvAll(prefix, sizeof(prefix));
-  if (!got.ok()) return got.status();
-  if (!got.value()) {
-    return Status::IoError("collector closed the connection");
-  }
-  Result<MessageHeader> header = DecodeMessageHeader(prefix, sizeof(prefix));
-  if (!header.ok()) return header.status();
-  std::string payload(header.value().payload_length, '\0');
-  if (!payload.empty()) {
-    Result<bool> body = socket_.RecvAll(payload.data(), payload.size());
-    if (!body.ok()) return body.status();
-    if (!body.value()) {
-      return Status::IoError("collector closed the connection mid-reply");
+  while (true) {
+    size_t need = kMessageHeaderBytes;
+    if (inbuf_.size() >= kMessageHeaderBytes) {
+      Result<MessageHeader> header =
+          DecodeMessageHeader(inbuf_.data(), kMessageHeaderBytes);
+      if (!header.ok()) return header.status();
+      need += header.value().payload_length;
+      if (inbuf_.size() >= need) {
+        std::string payload(inbuf_.data() + kMessageHeaderBytes,
+                            header.value().payload_length);
+        inbuf_.Consume(need);
+        return std::make_pair(header.value().type, std::move(payload));
+      }
     }
+    const size_t want = std::max(kReadChunkBytes, need - inbuf_.size());
+    bool eof = false;
+    Result<size_t> got = socket_.RecvSome(inbuf_.Reserve(want), want, &eof);
+    if (!got.ok()) return got.status();
+    if (eof) {
+      return Status::IoError(inbuf_.empty()
+                                 ? "collector closed the connection"
+                                 : "collector closed the connection mid-reply");
+    }
+    // A blocking socket reads nothing only when its idle timeout expired.
+    if (got.value() == 0) return Status::DeadlineExceeded("recv timed out");
+    inbuf_.Commit(got.value());
   }
-  return std::make_pair(header.value().type, std::move(payload));
 }
 
 Status CollectorClient::ProcessAck(const std::string& payload) {
@@ -196,7 +213,7 @@ uint64_t CollectorClient::TotalInFlight() const {
   return in_flight;
 }
 
-Status CollectorClient::Flush(uint32_t channel, ShardChannel& state) {
+Status CollectorClient::AppendStaged(uint32_t channel, ShardChannel& state) {
   if (state.staged.empty()) return Status::OK();
   if (effective_window_ > 0) {
     // Window full: the next DATA would overrun the bound, so block on the
@@ -205,28 +222,31 @@ Status CollectorClient::Flush(uint32_t channel, ShardChannel& state) {
       LDP_RETURN_IF_ERROR(PumpMessage());
     }
   }
-  std::string payload;
-  internal_wire::PutU32(&payload, channel);
-  payload.append(state.staged);
-  std::string wire;
-  LDP_RETURN_IF_ERROR(AppendMessage(MessageType::kData, payload, &wire));
-  const size_t flushed = state.staged.size();
+  LDP_RETURN_IF_ERROR(AppendData(channel, state.staged, &wire_));
+  state.sent_bytes += state.staged.size();
   state.staged.clear();
-  const Status sent = socket_.SendAll(wire);
-  if (!sent.ok()) {
-    // A send failure usually means the server poisoned the shard and
-    // closed the connection; its pending ERROR names the real cause. With
-    // acks enabled a DATA_ACK (or an early verdict) may sit ahead of the
-    // ERROR in the reply stream, so pump until a verdict surfaces or the
-    // read side dies too.
-    while (true) {
-      Status pending = PumpMessage();
-      if (pending.ok()) continue;
-      return pending.code() == StatusCode::kIoError ? sent : pending;
-    }
-  }
-  state.sent_bytes += flushed;
   return Status::OK();
+}
+
+Status CollectorClient::SendWire() {
+  const Status sent = socket_.SendAll(wire_);
+  if (sent.ok()) return sent;
+  // A send failure usually means the server poisoned the shard and closed
+  // the connection; its pending ERROR names the real cause. With acks
+  // enabled a DATA_ACK (or an early verdict) may sit ahead of the ERROR in
+  // the reply stream, so pump until a verdict surfaces or the read side
+  // dies too.
+  while (true) {
+    Status pending = PumpMessage();
+    if (pending.ok()) continue;
+    return pending.code() == StatusCode::kIoError ? sent : pending;
+  }
+}
+
+Status CollectorClient::Flush(uint32_t channel, ShardChannel& state) {
+  wire_.clear();
+  LDP_RETURN_IF_ERROR(AppendStaged(channel, state));
+  return wire_.empty() ? Status::OK() : SendWire();
 }
 
 Status CollectorClient::Send(uint32_t channel, const char* data, size_t size) {
@@ -259,13 +279,14 @@ Status CollectorClient::CloseShardBegin(uint32_t channel) {
   if (found->second.closing) {
     return Status::FailedPrecondition("shard close already in flight");
   }
-  LDP_RETURN_IF_ERROR(Flush(channel, found->second));
+  // The staged DATA and the CLOSE_SHARD leave in one write.
+  wire_.clear();
+  LDP_RETURN_IF_ERROR(AppendStaged(channel, found->second));
   CloseShardMessage close;
   close.channel = channel;
-  std::string wire;
   LDP_RETURN_IF_ERROR(
-      AppendMessage(MessageType::kCloseShard, EncodeCloseShard(close), &wire));
-  LDP_RETURN_IF_ERROR(socket_.SendAll(wire));
+      AppendMessage(MessageType::kCloseShard, EncodeCloseShard(close), &wire_));
+  LDP_RETURN_IF_ERROR(SendWire());
   found->second.closing = true;
   return Status::OK();
 }
@@ -306,9 +327,9 @@ Result<uint32_t> CollectorClient::AdvanceEpoch() {
     return Status::FailedPrecondition(
         "close the current shard before advancing the epoch");
   }
-  std::string wire;
-  LDP_RETURN_IF_ERROR(AppendMessage(MessageType::kAdvanceEpoch, "", &wire));
-  LDP_RETURN_IF_ERROR(socket_.SendAll(wire));
+  wire_.clear();
+  LDP_RETURN_IF_ERROR(AppendMessage(MessageType::kAdvanceEpoch, "", &wire_));
+  LDP_RETURN_IF_ERROR(socket_.SendAll(wire_));
   std::string payload;
   LDP_ASSIGN_OR_RETURN(payload,
                        AwaitReply(MessageType::kEpochAdvanced, 0));

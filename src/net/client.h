@@ -20,8 +20,17 @@
 // server batches acks and a smaller window could wait for an ack the
 // server is still accumulating.
 //
-// Blocking I/O with an optional idle timeout; thread-compatible (one
-// client per thread, like ClientSession's Rng discipline).
+// Batched I/O: replies are read through a buffer (net/read_buffer.h), so
+// one recv brings every reply the server sent for one event — typically a
+// HELLO_OK together with SHARD_CLOSED verdicts of earlier pipelined
+// closes, which are stashed for AwaitShardClosed. CloseShardBegin sends the
+// channel's staged DATA and its CLOSE_SHARD in one write. A write the
+// collector refused still surfaces its pending ERROR verdict, not a bare
+// send error.
+//
+// Blocking I/O with an optional idle timeout (a read that idles past it
+// fails with kDeadlineExceeded); thread-compatible (one client per thread,
+// like ClientSession's Rng discipline).
 
 #ifndef LDP_NET_CLIENT_H_
 #define LDP_NET_CLIENT_H_
@@ -32,6 +41,7 @@
 #include <utility>
 
 #include "net/protocol.h"
+#include "net/read_buffer.h"
 #include "net/socket.h"
 #include "stream/report_stream.h"
 #include "stream/shard_ingester.h"
@@ -167,11 +177,20 @@ class CollectorClient {
   Status Negotiate(const stream::StreamHeader& header, uint64_t ordinal,
                    uint32_t channel);
 
-  /// Ships `channel`'s staged buffer as one DATA message, blocking for
-  /// acks first when the window is full.
+  /// Appends `channel`'s staged bytes to wire_ as one DATA message (none
+  /// when nothing is staged), blocking for acks first when the window is
+  /// full.
+  Status AppendStaged(uint32_t channel, ShardChannel& state);
+
+  /// Sends wire_ in one write. On failure, returns the server's pending
+  /// ERROR verdict when one arrives, else the send error.
+  Status SendWire();
+
+  /// Ships `channel`'s staged buffer as one DATA message.
   Status Flush(uint32_t channel, ShardChannel& state);
 
-  /// Reads one message off the socket (prefix + payload).
+  /// Returns the next message, reading the socket only when inbuf_ holds
+  /// no whole one.
   Result<std::pair<MessageType, std::string>> ReadMessage();
 
   /// Applies one DATA_ACK's cumulative watermarks to the channel windows.
@@ -188,6 +207,8 @@ class CollectorClient {
   uint64_t TotalInFlight() const;
 
   Socket socket_;
+  ReadBuffer inbuf_;   ///< Received bytes not yet returned by ReadMessage.
+  std::string wire_;   ///< Outgoing messages, reused across writes.
   CollectorClientOptions options_;
   /// 0 when acks are off; otherwise the clamped in-flight bound.
   uint64_t effective_window_ = 0;

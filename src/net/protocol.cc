@@ -15,8 +15,8 @@ using internal_wire::Reader;
 
 // The trailing free-form field of a payload (error/detail text, header
 // bytes): everything after the fixed fields.
-std::string TakeRest(const std::string& payload, const Reader& reader) {
-  return payload.substr(reader.cursor());
+std::string TakeRest(std::string_view payload, const Reader& reader) {
+  return std::string(payload.substr(reader.cursor()));
 }
 
 }  // namespace
@@ -39,7 +39,7 @@ bool IsKnownMessageType(uint8_t type) {
   return false;
 }
 
-Status AppendMessage(MessageType type, const std::string& payload,
+Status AppendMessage(MessageType type, std::string_view payload,
                      std::string* out) {
   if (payload.size() > kMaxMessagePayload) {
     return Status::InvalidArgument("message payload exceeds bound");
@@ -47,6 +47,18 @@ Status AppendMessage(MessageType type, const std::string& payload,
   PutU8(out, static_cast<uint8_t>(type));
   PutU32(out, static_cast<uint32_t>(payload.size()));
   out->append(payload);
+  return Status::OK();
+}
+
+Status AppendData(uint32_t channel, std::string_view frames,
+                  std::string* out) {
+  if (frames.size() > kMaxMessagePayload - kDataChannelPrefixBytes) {
+    return Status::InvalidArgument("message payload exceeds bound");
+  }
+  PutU8(out, static_cast<uint8_t>(MessageType::kData));
+  PutU32(out, static_cast<uint32_t>(kDataChannelPrefixBytes + frames.size()));
+  PutU32(out, channel);
+  out->append(frames);
   return Status::OK();
 }
 
@@ -91,7 +103,7 @@ std::string EncodeHello(const HelloMessage& hello) {
   return out;
 }
 
-Result<HelloMessage> DecodeHello(const std::string& payload) {
+Result<HelloMessage> DecodeHello(std::string_view payload) {
   Reader reader(payload.data(), payload.size());
   HelloMessage hello;
   LDP_ASSIGN_OR_RETURN(hello.version, reader.U16());
@@ -154,7 +166,7 @@ std::string EncodeHelloOk(const HelloOkMessage& ok) {
   return out;
 }
 
-Result<HelloOkMessage> DecodeHelloOk(const std::string& payload) {
+Result<HelloOkMessage> DecodeHelloOk(std::string_view payload) {
   Reader reader(payload.data(), payload.size());
   HelloOkMessage ok;
   LDP_ASSIGN_OR_RETURN(ok.channel, reader.U32());
@@ -173,7 +185,7 @@ std::string EncodeCloseShard(const CloseShardMessage& close) {
   return out;
 }
 
-Result<CloseShardMessage> DecodeCloseShard(const std::string& payload) {
+Result<CloseShardMessage> DecodeCloseShard(std::string_view payload) {
   Reader reader(payload.data(), payload.size());
   CloseShardMessage close;
   LDP_ASSIGN_OR_RETURN(close.channel, reader.U32());
@@ -193,7 +205,7 @@ std::string EncodeDataAck(const DataAckMessage& ack) {
   return out;
 }
 
-Result<DataAckMessage> DecodeDataAck(const std::string& payload) {
+Result<DataAckMessage> DecodeDataAck(std::string_view payload) {
   Reader reader(payload.data(), payload.size());
   DataAckMessage ack;
   uint32_t count = 0;
@@ -224,7 +236,7 @@ std::string EncodeSnapshot(const SnapshotMessage& snapshot) {
   return out;
 }
 
-Result<SnapshotMessage> DecodeSnapshot(const std::string& payload) {
+Result<SnapshotMessage> DecodeSnapshot(std::string_view payload) {
   Reader reader(payload.data(), payload.size());
   SnapshotMessage snapshot;
   LDP_ASSIGN_OR_RETURN(snapshot.version, reader.U16());
@@ -256,7 +268,7 @@ std::string EncodeSnapshotOk(const SnapshotOkMessage& ok) {
   return out;
 }
 
-Result<SnapshotOkMessage> DecodeSnapshotOk(const std::string& payload) {
+Result<SnapshotOkMessage> DecodeSnapshotOk(std::string_view payload) {
   Reader reader(payload.data(), payload.size());
   SnapshotOkMessage ok;
   LDP_ASSIGN_OR_RETURN(ok.node, reader.U64());
@@ -279,7 +291,7 @@ std::string EncodeShardClosed(const ShardClosedMessage& closed) {
   return out;
 }
 
-Result<ShardClosedMessage> DecodeShardClosed(const std::string& payload) {
+Result<ShardClosedMessage> DecodeShardClosed(std::string_view payload) {
   Reader reader(payload.data(), payload.size());
   ShardClosedMessage closed;
   LDP_ASSIGN_OR_RETURN(closed.channel, reader.U32());
@@ -300,7 +312,7 @@ std::string EncodeEpochAdvanced(const EpochAdvancedMessage& advanced) {
   return out;
 }
 
-Result<EpochAdvancedMessage> DecodeEpochAdvanced(const std::string& payload) {
+Result<EpochAdvancedMessage> DecodeEpochAdvanced(std::string_view payload) {
   Reader reader(payload.data(), payload.size());
   EpochAdvancedMessage advanced;
   LDP_ASSIGN_OR_RETURN(advanced.code, reader.U8());
@@ -316,7 +328,7 @@ std::string EncodeError(const Status& status) {
   return out;
 }
 
-Result<ErrorMessage> DecodeErrorMessage(const std::string& payload) {
+Result<ErrorMessage> DecodeErrorMessage(std::string_view payload) {
   Reader reader(payload.data(), payload.size());
   ErrorMessage error;
   LDP_ASSIGN_OR_RETURN(error.code, reader.U8());

@@ -49,6 +49,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "stream/shard_ingester.h"
@@ -125,8 +126,13 @@ struct MessageHeader {
 
 /// Serialises one message (header + payload) onto `out`. Fails on payloads
 /// above kMaxMessagePayload.
-Status AppendMessage(MessageType type, const std::string& payload,
+Status AppendMessage(MessageType type, std::string_view payload,
                      std::string* out);
+
+/// Serialises one DATA message for `channel` carrying `frames` onto `out`,
+/// with no intermediate payload copy. Fails like AppendMessage when the
+/// payload (channel prefix + frames) exceeds kMaxMessagePayload.
+Status AppendData(uint32_t channel, std::string_view frames, std::string* out);
 
 /// Parses and validates a message prefix: known type, length within bound.
 /// Requires exactly kMessageHeaderBytes.
@@ -163,7 +169,7 @@ struct HelloMessage {
 };
 
 std::string EncodeHello(const HelloMessage& hello);
-Result<HelloMessage> DecodeHello(const std::string& payload);
+Result<HelloMessage> DecodeHello(std::string_view payload);
 
 /// The v3 HELLO authentication tag: HMAC-SHA256 over a canonical encoding
 /// of (reporter id, channel, epoch, stream header) under the campaign key.
@@ -187,7 +193,7 @@ struct HelloOkMessage {
 };
 
 std::string EncodeHelloOk(const HelloOkMessage& ok);
-Result<HelloOkMessage> DecodeHelloOk(const std::string& payload);
+Result<HelloOkMessage> DecodeHelloOk(std::string_view payload);
 
 /// CLOSE_SHARD: the client is done streaming one channel's shard.
 struct CloseShardMessage {
@@ -195,7 +201,7 @@ struct CloseShardMessage {
 };
 
 std::string EncodeCloseShard(const CloseShardMessage& close);
-Result<CloseShardMessage> DecodeCloseShard(const std::string& payload);
+Result<CloseShardMessage> DecodeCloseShard(std::string_view payload);
 
 /// DATA_ACK: batched cumulative receipt watermarks, one entry per channel
 /// with new progress since the last ack. `bytes` counts post-header stream
@@ -210,7 +216,7 @@ struct DataAckMessage {
 };
 
 std::string EncodeDataAck(const DataAckMessage& ack);
-Result<DataAckMessage> DecodeDataAck(const std::string& payload);
+Result<DataAckMessage> DecodeDataAck(std::string_view payload);
 
 /// SNAPSHOT: a relay node ships its whole session snapshot upstream. The
 /// snapshot is cumulative (every epoch, all reports so far), so a node may
@@ -228,7 +234,7 @@ struct SnapshotMessage {
 };
 
 std::string EncodeSnapshot(const SnapshotMessage& snapshot);
-Result<SnapshotMessage> DecodeSnapshot(const std::string& payload);
+Result<SnapshotMessage> DecodeSnapshot(std::string_view payload);
 
 /// SNAPSHOT_OK: the upstream durably holds (node, seq).
 struct SnapshotOkMessage {
@@ -237,7 +243,7 @@ struct SnapshotOkMessage {
 };
 
 std::string EncodeSnapshotOk(const SnapshotOkMessage& ok);
-Result<SnapshotOkMessage> DecodeSnapshotOk(const std::string& payload);
+Result<SnapshotOkMessage> DecodeSnapshotOk(std::string_view payload);
 
 /// SHARD_CLOSED: final verdict and exact ingest statistics for one shard.
 struct ShardClosedMessage {
@@ -249,7 +255,7 @@ struct ShardClosedMessage {
 };
 
 std::string EncodeShardClosed(const ShardClosedMessage& closed);
-Result<ShardClosedMessage> DecodeShardClosed(const std::string& payload);
+Result<ShardClosedMessage> DecodeShardClosed(std::string_view payload);
 
 /// EPOCH_ADVANCED: outcome of an ADVANCE_EPOCH request.
 struct EpochAdvancedMessage {
@@ -259,7 +265,7 @@ struct EpochAdvancedMessage {
 };
 
 std::string EncodeEpochAdvanced(const EpochAdvancedMessage& advanced);
-Result<EpochAdvancedMessage> DecodeEpochAdvanced(const std::string& payload);
+Result<EpochAdvancedMessage> DecodeEpochAdvanced(std::string_view payload);
 
 /// ERROR: the server refuses the connection or poisons the shard.
 struct ErrorMessage {
@@ -268,7 +274,7 @@ struct ErrorMessage {
 };
 
 std::string EncodeError(const Status& status);
-Result<ErrorMessage> DecodeErrorMessage(const std::string& payload);
+Result<ErrorMessage> DecodeErrorMessage(std::string_view payload);
 
 /// Rebuilds a Status from a wire code + message (unknown codes collapse to
 /// kInternal rather than trusting the peer).

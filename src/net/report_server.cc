@@ -17,9 +17,16 @@ namespace ldp::net {
 namespace {
 
 // How many complete messages one readable event may dispatch before the
-// loop moves on to other connections. Level-triggered polling re-fires for
-// whatever is left, so this is fairness, not correctness.
+// loop moves on to other connections. Whole messages left in the read
+// buffer are resumed through Loop::ready (level-triggered polling only
+// re-fires for bytes still in the kernel), so this is fairness, not
+// correctness.
 constexpr int kDispatchBudget = 64;
+
+// One socket read asks for this much (or, for a message larger than this,
+// for the rest of that message), so a burst of small messages costs one
+// recv instead of two per message.
+constexpr size_t kReadChunkBytes = 64u << 10;
 
 // Once this much of the outbuf's front has been sent, the dead prefix is
 // compacted away instead of waiting for a full drain.
@@ -47,7 +54,7 @@ Status MakePipeNonBlocking(int fd) {
   return Status::OK();
 }
 
-uint32_t DecodeDataChannel(const std::string& payload) {
+uint32_t DecodeDataChannel(std::string_view payload) {
   const auto* p = reinterpret_cast<const unsigned char*>(payload.data());
   return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
          (static_cast<uint32_t>(p[2]) << 16) |
@@ -264,9 +271,12 @@ void ReportServer::LoopMain(size_t index) {
     }
 
     // Sleep until the nearest connection deadline (the slow-loris budget
-    // or a goodbye-flush grace), a readiness event, or a wake.
+    // or a goodbye-flush grace), a readiness event, or a wake — or not at
+    // all while buffered messages wait in the ready list.
     int timeout_ms = -1;
-    if (!loop.conns.empty()) {
+    if (!loop.ready.empty()) {
+      timeout_ms = 0;
+    } else if (!loop.conns.empty()) {
       SteadyTime nearest = SteadyTime::max();
       for (const auto& [fd, conn] : loop.conns) {
         nearest = std::min(nearest, conn->deadline);
@@ -317,6 +327,18 @@ void ReportServer::LoopMain(size_t index) {
       }
       if (event.readable || event.error) HandleReadable(loop, conn);
       if (event.writable && !conn->dead) FlushConn(loop, conn);
+    }
+
+    if (!loop.ready.empty()) {
+      std::vector<std::shared_ptr<Conn>> ready;
+      ready.swap(loop.ready);
+      for (const auto& conn : ready) {
+        conn->queued_ready = false;
+        if (conn->dead || conn->reads_closed) continue;
+        int budget = kDispatchBudget;
+        DispatchBuffered(loop, conn, &budget);
+        FinishEvent(loop, conn);
+      }
     }
 
     if (!loop.conns.empty()) {
@@ -415,66 +437,97 @@ void ReportServer::ArmDeadline(const std::shared_ptr<Conn>& conn) {
 
 void ReportServer::HandleReadable(Loop& loop,
                                   const std::shared_ptr<Conn>& conn) {
+  if (conn->inbuf.empty() && !loop.spare_buffers.empty()) {
+    conn->inbuf = std::move(loop.spare_buffers.back());
+    loop.spare_buffers.pop_back();
+  }
   int budget = kDispatchBudget;
-  while (!conn->dead && !conn->reads_closed) {
-    if (conn->phase == ReadPhase::kPrefix) {
-      bool eof = false;
-      Result<size_t> got =
-          conn->socket.RecvSome(conn->prefix + conn->prefix_got,
-                                kMessageHeaderBytes - conn->prefix_got, &eof);
-      if (!got.ok()) {
-        HandleConnFailure(loop, conn, /*clean_eof=*/false, /*reaped=*/false);
-        return;
-      }
-      if (eof) {
-        // EOF on a message boundary is the clean goodbye; EOF inside a
-        // prefix means the framing was cut mid-message.
-        HandleConnFailure(loop, conn, /*clean_eof=*/conn->prefix_got == 0,
-                          /*reaped=*/false);
-        return;
-      }
-      if (got.value() == 0) return;  // socket drained
-      conn->prefix_got += got.value();
-      if (conn->prefix_got < kMessageHeaderBytes) continue;
+  // Whole messages an earlier event left behind go before any new bytes.
+  bool reading = DispatchBuffered(loop, conn, &budget);
+  while (reading) {
+    // A chunk, or the rest of a message too large for one: received in
+    // place, so the payload is dispatched from where it landed.
+    size_t want = kReadChunkBytes;
+    if (conn->have_header) {
+      want = std::max(want, kMessageHeaderBytes + conn->header.payload_length -
+                                conn->inbuf.size());
+    }
+    bool eof = false;
+    Result<size_t> got =
+        conn->socket.RecvSome(conn->inbuf.Reserve(want), want, &eof);
+    if (!got.ok()) {
+      HandleConnFailure(loop, conn, /*clean_eof=*/false, /*reaped=*/false);
+      break;
+    }
+    if (eof) {
+      // EOF on a message boundary is the clean goodbye; EOF inside a
+      // message means the framing was cut mid-message.
+      HandleConnFailure(loop, conn, /*clean_eof=*/conn->inbuf.empty(),
+                        /*reaped=*/false);
+      break;
+    }
+    if (got.value() == 0) break;  // socket drained
+    if (metrics_.enabled()) metrics_.reads->Increment();
+    conn->inbuf.Commit(got.value());
+    // A short read drained the socket, so no EAGAIN recv follows it; after
+    // a full one, read on only while a message still needs bytes (the
+    // poller re-fires for anything past a message boundary).
+    reading = DispatchBuffered(loop, conn, &budget) && got.value() == want &&
+              !conn->inbuf.empty();
+  }
+  FinishEvent(loop, conn);
+}
+
+bool ReportServer::DispatchBuffered(Loop& loop,
+                                    const std::shared_ptr<Conn>& conn,
+                                    int* budget) {
+  while (true) {
+    if (!conn->have_header) {
+      if (conn->inbuf.size() < kMessageHeaderBytes) return true;
       Result<MessageHeader> header =
-          DecodeMessageHeader(conn->prefix, kMessageHeaderBytes);
+          DecodeMessageHeader(conn->inbuf.data(), kMessageHeaderBytes);
       if (!header.ok()) {
         // Unknown type or a hostile length prefix: the message boundaries
         // can no longer be trusted — kill the connection.
         PoisonConn(loop, conn, header.status(), /*count_always=*/true);
-        return;
+        return false;
       }
       conn->header = header.value();
-      conn->prefix_got = 0;
-      conn->phase = ReadPhase::kPayload;
-      conn->payload.resize(conn->header.payload_length);
-      conn->payload_got = 0;
-      // The payload gets its own whole-message budget, exactly like the
-      // prefix: partial reads never reset it (the slow-loris defense).
-      ArmDeadline(conn);
-      // The DATA service-time clock starts with the payload read: the
-      // histogram covers wire read + session Feed.
+      conn->have_header = true;
+      // The DATA service-time clock starts when the message is parsed from
+      // the buffer: the histogram covers the rest of its payload read (for
+      // a message larger than one read) and the session Feed.
       conn->data_started_ns =
           metrics_.enabled() && conn->header.type == MessageType::kData
               ? obs::SteadyNowNs()
               : 0;
-    }
-    while (conn->payload_got < conn->payload.size()) {
-      bool eof = false;
-      Result<size_t> got =
-          conn->socket.RecvSome(conn->payload.data() + conn->payload_got,
-                                conn->payload.size() - conn->payload_got,
-                                &eof);
-      if (!got.ok() || eof) {
-        HandleConnFailure(loop, conn, /*clean_eof=*/false, /*reaped=*/false);
-        return;
+      if (conn->inbuf.size() <
+          kMessageHeaderBytes + conn->header.payload_length) {
+        // The payload gets its own whole-message budget, armed once here:
+        // partial reads never reset it (the slow-loris defense).
+        ArmDeadline(conn);
+        return true;
       }
-      if (got.value() == 0) return;  // socket drained mid-payload
-      conn->payload_got += got.value();
     }
-    if (!DispatchMessage(loop, conn)) return;
-    conn->phase = ReadPhase::kPrefix;
-    conn->prefix_got = 0;
+    const size_t total = kMessageHeaderBytes + conn->header.payload_length;
+    if (conn->inbuf.size() < total) return true;
+    if (*budget <= 0) {
+      // Fairness: let other connections run, and resume this one from the
+      // ready list.
+      if (!conn->queued_ready) {
+        conn->queued_ready = true;
+        loop.ready.push_back(conn);
+      }
+      return false;
+    }
+    --*budget;
+    conn->have_header = false;
+    const bool alive = DispatchMessage(
+        loop, conn,
+        std::string_view(conn->inbuf.data() + kMessageHeaderBytes,
+                         conn->header.payload_length));
+    conn->inbuf.Consume(total);
+    if (!alive) return false;
     ArmDeadline(conn);
     // Between shards is a drain point: once the server is stopping, a
     // connection with nothing open has nothing left to say.
@@ -491,27 +544,35 @@ void ReportServer::HandleReadable(Loop& loop,
       }
       if (stopping) {
         CloseAfterFlush(loop, conn);
-        return;
+        return false;
       }
     }
-    if (--budget <= 0) return;  // fairness: let other connections run
+  }
+}
+
+void ReportServer::FinishEvent(Loop& loop, const std::shared_ptr<Conn>& conn) {
+  FlushConn(loop, conn);
+  if (conn->inbuf.empty()) {
+    loop.spare_buffers.push_back(std::move(conn->inbuf));
+    conn->inbuf = ReadBuffer();
   }
 }
 
 bool ReportServer::DispatchMessage(Loop& loop,
-                                   const std::shared_ptr<Conn>& conn) {
+                                   const std::shared_ptr<Conn>& conn,
+                                   std::string_view payload) {
   switch (conn->header.type) {
     case MessageType::kHello:
-      return HandleHello(loop, conn);
+      return HandleHello(loop, conn, payload);
     case MessageType::kData: {
-      if (conn->payload.size() < kDataChannelPrefixBytes) {
+      if (payload.size() < kDataChannelPrefixBytes) {
         PoisonConn(loop, conn,
                    Status::InvalidArgument(
                        "DATA payload is missing its channel prefix"),
                    /*count_always=*/false);
         return false;
       }
-      const uint32_t channel = DecodeDataChannel(conn->payload);
+      const uint32_t channel = DecodeDataChannel(payload);
       size_t shard = 0;
       bool open = false;
       {
@@ -528,8 +589,8 @@ bool ReportServer::DispatchMessage(Loop& loop,
                    /*count_always=*/false);
         return false;
       }
-      const char* data = conn->payload.data() + kDataChannelPrefixBytes;
-      const size_t size = conn->payload.size() - kDataChannelPrefixBytes;
+      const char* data = payload.data() + kDataChannelPrefixBytes;
+      const size_t size = payload.size() - kDataChannelPrefixBytes;
       // Durability before visibility: the frame bytes hit the WAL before
       // the session, so nothing the reporter gets acked can be lost.
       if (options_.wal != nullptr && size > 0) {
@@ -562,13 +623,12 @@ bool ReportServer::DispatchMessage(Loop& loop,
         conn->unacked_bytes += size;
         if (conn->unacked_bytes >= kDataAckFlushBytes) {
           FlushPendingAcks(conn);
-          FlushConn(loop, conn);
         }
       }
       return !conn->dead;
     }
     case MessageType::kCloseShard:
-      return HandleCloseShard(loop, conn);
+      return HandleCloseShard(loop, conn, payload);
     case MessageType::kAdvanceEpoch: {
       // The session refuses while any shard (this connection's included)
       // is open, so no extra gating is needed here.
@@ -587,11 +647,10 @@ bool ReportServer::DispatchMessage(Loop& loop,
       reply.message = advanced.message();
       QueueMessage(conn, MessageType::kEpochAdvanced,
                    EncodeEpochAdvanced(reply));
-      FlushConn(loop, conn);
-      return !conn->dead;
+      return true;
     }
     case MessageType::kSnapshot:
-      return HandleSnapshot(loop, conn);
+      return HandleSnapshot(loop, conn, payload);
     default:
       // Server-only types arriving from a client.
       PoisonConn(loop, conn,
@@ -602,8 +661,9 @@ bool ReportServer::DispatchMessage(Loop& loop,
 }
 
 bool ReportServer::HandleHello(Loop& loop,
-                               const std::shared_ptr<Conn>& conn) {
-  Result<HelloMessage> hello = DecodeHello(conn->payload);
+                               const std::shared_ptr<Conn>& conn,
+                               std::string_view payload) {
+  Result<HelloMessage> hello = DecodeHello(payload);
   if (!hello.ok()) {
     PoisonConn(loop, conn, hello.status(), /*count_always=*/false);
     return false;
@@ -768,13 +828,13 @@ bool ReportServer::HandleHello(Loop& loop,
   ok.epoch = session_->current_epoch();
   ok.resume_offset = is_resume ? resumed.durable_bytes : 0;
   QueueMessage(conn, MessageType::kHelloOk, EncodeHelloOk(ok));
-  FlushConn(loop, conn);
-  return !conn->dead;
+  return true;
 }
 
 bool ReportServer::HandleCloseShard(Loop& loop,
-                                    const std::shared_ptr<Conn>& conn) {
-  Result<CloseShardMessage> close = DecodeCloseShard(conn->payload);
+                                    const std::shared_ptr<Conn>& conn,
+                                    std::string_view payload) {
+  Result<CloseShardMessage> close = DecodeCloseShard(payload);
   if (!close.ok()) {
     PoisonConn(loop, conn, close.status(), /*count_always=*/false);
     return false;
@@ -835,12 +895,12 @@ bool ReportServer::HandleCloseShard(Loop& loop,
     conn->channels.erase(channel);
   }
   QueueMessage(conn, MessageType::kShardClosed, EncodeShardClosed(reply));
-  FlushConn(loop, conn);
-  return !conn->dead;
+  return true;
 }
 
 bool ReportServer::HandleSnapshot(Loop& loop,
-                                  const std::shared_ptr<Conn>& conn) {
+                                  const std::shared_ptr<Conn>& conn,
+                                  std::string_view payload) {
   bool has_channels;
   {
     std::lock_guard<std::mutex> conn_lock(conn->mutex);
@@ -853,7 +913,7 @@ bool ReportServer::HandleSnapshot(Loop& loop,
                /*count_always=*/false);
     return false;
   }
-  Result<SnapshotMessage> snap = DecodeSnapshot(conn->payload);
+  Result<SnapshotMessage> snap = DecodeSnapshot(payload);
   Status refusal = Status::OK();
   if (!snap.ok()) {
     refusal = snap.status();
@@ -907,8 +967,7 @@ bool ReportServer::HandleSnapshot(Loop& loop,
   ok.node = node;
   ok.seq = seq;
   QueueMessage(conn, MessageType::kSnapshotOk, EncodeSnapshotOk(ok));
-  FlushConn(loop, conn);
-  return !conn->dead;
+  return true;
 }
 
 void ReportServer::HandleConnFailure(Loop& loop,
@@ -919,7 +978,7 @@ void ReportServer::HandleConnFailure(Loop& loop,
   if (reaped && metrics_.enabled()) metrics_.slow_loris_reaped->Increment();
   const size_t had_channels = AbandonConnChannels(conn);
   bool count = false;
-  if (conn->phase == ReadPhase::kPayload) {
+  if (conn->have_header) {
     // Mid-payload loss: the message boundary is gone for good.
     count = true;
   } else if (!clean_eof) {
@@ -1047,11 +1106,10 @@ void ReportServer::CloseAfterFlush(Loop& loop,
 void ReportServer::QueueMessage(const std::shared_ptr<Conn>& conn,
                                 MessageType type,
                                 const std::string& payload) {
-  std::string wire;
-  if (!AppendMessage(type, payload, &wire).ok()) return;
   std::lock_guard<std::mutex> conn_lock(conn->mutex);
   if (conn->dead) return;
-  conn->outbuf.append(wire);
+  // An oversized payload appends nothing (AppendMessage checks first).
+  (void)AppendMessage(type, payload, &conn->outbuf);
 }
 
 void ReportServer::FlushPendingAcks(const std::shared_ptr<Conn>& conn) {

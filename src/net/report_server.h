@@ -1,12 +1,14 @@
 // ReportServer: the network ingestion edge of a collection deployment. It
 // owns a Listener (TCP or Unix-domain) and an event-driven core: N loop
 // threads (Options::acceptors) each drive a Poller over non-blocking
-// sockets, running a small per-connection state machine (reading-prefix →
-// reading-payload → dispatch) that feeds DATA bytes straight into
+// sockets. A readable event reads the socket in large chunks into the
+// connection's read buffer (net/read_buffer.h) and dispatches every whole
+// message in it from a view into the buffer; DATA bytes go straight into
 // api::ServerSession::Feed — the same zero-copy framing, per-shard strand
-// scheduling, and backpressure as every other ingest path. One loop thread
-// serves thousands of connections, so the edge scales to C10K+ reporters
-// instead of one blocked thread per socket. A framing error, a mid-stream
+// scheduling, and backpressure as every other ingest path. The replies an
+// event queues leave in one send when it ends. One loop thread serves
+// thousands of connections, so the edge scales to C10K+ reporters instead
+// of one blocked thread per socket. A framing error, a mid-stream
 // disconnect, or a slow-loris timeout poisons/abandons exactly that
 // connection's shards; honest connections are untouched.
 //
@@ -53,6 +55,7 @@
 #include <mutex>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -60,6 +63,7 @@
 #include "api/server_session.h"
 #include "net/poller.h"
 #include "net/protocol.h"
+#include "net/read_buffer.h"
 #include "net/socket.h"
 #include "obs/metrics.h"
 #include "stream/report_stream.h"
@@ -227,28 +231,37 @@ class ReportServer {
     uint64_t fed_bytes = 0;
   };
 
-  enum class ReadPhase : uint8_t { kPrefix, kPayload };
-
   /// One connection. Read-path fields are touched only by the owning loop
   /// thread; `mutex` guards the fields Stop also reads (channels, outbuf,
   /// flags).
+  ///
+  /// Reads: one recv of up to kReadChunkBytes per readable event (more
+  /// only while a message still needs bytes, and a message larger than the
+  /// chunk is received in place up to its end), then every whole message
+  /// in `inbuf` is dispatched from a view into it. `inbuf` is the only
+  /// copy of the received bytes. Between events a connection keeps it only
+  /// while it holds part of a message; an idle one hands it back to its
+  /// loop's pool, so idle connections cost no buffer.
   struct Conn {
     Socket socket;
     size_t loop = 0;
 
     // --- owning-loop-thread only ---------------------------------------
-    ReadPhase phase = ReadPhase::kPrefix;
-    char prefix[kMessageHeaderBytes] = {};
-    size_t prefix_got = 0;
+    ReadBuffer inbuf;
+    /// The prefix at inbuf's front is decoded into `header` (and the
+    /// payload's deadline armed), but the payload has not all arrived.
+    bool have_header = false;
     MessageHeader header;
-    std::string payload;
-    size_t payload_got = 0;
     uint64_t data_started_ns = 0;
+    /// In Loop::ready: the dispatch budget ran out with whole messages
+    /// still in inbuf.
+    bool queued_ready = false;
     /// When the current message (or the wait for the next one) must
-    /// complete; re-armed at prefix completion and message completion,
-    /// never by partial reads. max() means unarmed (no bound). With
-    /// idle_timeout_ms == 0 only goodbye flushes are armed (a bounded
-    /// grace, so Stop(drain) cannot hang on a peer that never reads).
+    /// complete; armed when a message's prefix is parsed with its payload
+    /// still to come and when a message completes, never by partial reads.
+    /// max() means unarmed (no bound). With idle_timeout_ms == 0 only
+    /// goodbye flushes are armed (a bounded grace, so Stop(drain) cannot
+    /// hang on a peer that never reads).
     SteadyTime deadline = SteadyTime::max();
     bool reads_closed = false;  ///< Poisoned: flush the outbuf, then die.
     bool wants_acks = false;    ///< Some HELLO set kHelloFlagDataAcks.
@@ -278,6 +291,13 @@ class ReportServer {
     std::mutex mutex;
     std::vector<std::shared_ptr<Conn>> adopt_inbox;  ///< Newly accepted.
     bool woken = false;  // coalesces wake-pipe writes
+    /// Connections with whole messages buffered that their dispatch budget
+    /// left behind. Those bytes already left the kernel, so no readiness
+    /// event will come for them: the loop polls with timeout 0 and resumes
+    /// these until the list is empty. Loop thread only.
+    std::vector<std::shared_ptr<Conn>> ready;
+    /// Read buffers of idle connections, reused by the next one to read.
+    std::vector<ReadBuffer> spare_buffers;
   };
 
   ReportServer(api::ServerSession* session, stream::StreamHeader expected,
@@ -288,18 +308,31 @@ class ReportServer {
   void WakeLoop(size_t index);
   void AcceptReady(Loop& loop);
   void AdoptConn(Loop& loop, const std::shared_ptr<Conn>& conn);
-  /// Drains readable bytes through the prefix/payload state machine until
-  /// the socket would block, the dispatch budget runs out, or the
-  /// connection dies.
+  /// One readable event: dispatches what is already buffered, then reads
+  /// and dispatches until the socket is drained, the dispatch budget runs
+  /// out, or the connection dies; then FinishEvent.
   void HandleReadable(Loop& loop, const std::shared_ptr<Conn>& conn);
-  /// Dispatches one complete message; returns false when the connection
-  /// was poisoned or torn down.
-  bool DispatchMessage(Loop& loop, const std::shared_ptr<Conn>& conn);
-  bool HandleHello(Loop& loop, const std::shared_ptr<Conn>& conn);
+  /// Dispatches every whole message in conn->inbuf. Returns false when
+  /// reading should stop: the connection was poisoned or torn down, or the
+  /// budget ran out (the connection then joins loop.ready).
+  bool DispatchBuffered(Loop& loop, const std::shared_ptr<Conn>& conn,
+                        int* budget);
+  /// Sends every reply the event queued in one go, and returns an emptied
+  /// read buffer to the loop's pool.
+  void FinishEvent(Loop& loop, const std::shared_ptr<Conn>& conn);
+  /// Dispatches one complete message whose payload is `payload` (a view
+  /// into conn->inbuf); returns false when the connection was poisoned or
+  /// torn down.
+  bool DispatchMessage(Loop& loop, const std::shared_ptr<Conn>& conn,
+                       std::string_view payload);
+  bool HandleHello(Loop& loop, const std::shared_ptr<Conn>& conn,
+                   std::string_view payload);
   /// CLOSE_SHARD: WAL close, session merge, stats and journal, then the
   /// SHARD_CLOSED reply — all inline on the owning loop.
-  bool HandleCloseShard(Loop& loop, const std::shared_ptr<Conn>& conn);
-  bool HandleSnapshot(Loop& loop, const std::shared_ptr<Conn>& conn);
+  bool HandleCloseShard(Loop& loop, const std::shared_ptr<Conn>& conn,
+                        std::string_view payload);
+  bool HandleSnapshot(Loop& loop, const std::shared_ptr<Conn>& conn,
+                      std::string_view payload);
   /// End-of-stream / recv-fault / reap handling (see the protocol-error
   /// accounting rules in the .cc).
   void HandleConnFailure(Loop& loop, const std::shared_ptr<Conn>& conn,
@@ -319,6 +352,8 @@ class ReportServer {
   /// Stops reading, flushes what is queued, then tears the connection
   /// down (the polite goodbye after an ERROR or a drain).
   void CloseAfterFlush(Loop& loop, const std::shared_ptr<Conn>& conn);
+  /// Appends one message to the outbuf; FinishEvent (or a teardown's
+  /// goodbye) sends it.
   void QueueMessage(const std::shared_ptr<Conn>& conn, MessageType type,
                     const std::string& payload);
   void FlushPendingAcks(const std::shared_ptr<Conn>& conn);

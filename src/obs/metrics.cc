@@ -274,6 +274,7 @@ NetServerMetrics NetServerMetrics::ForRegistry(MetricsRegistry* registry) {
   metrics.hello_unauthenticated =
       registry->GetCounter("ldp_net_hello_unauthenticated_total");
   metrics.data_messages = registry->GetCounter("ldp_net_data_messages_total");
+  metrics.reads = registry->GetCounter("ldp_net_reads_total");
   metrics.slow_loris_reaped =
       registry->GetCounter("ldp_net_slow_loris_reaped_total");
   metrics.protocol_errors =

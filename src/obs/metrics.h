@@ -262,6 +262,10 @@ struct NetServerMetrics {
   Counter* hello_unauthenticated = nullptr;
   ///< ldp_net_hello_unauthenticated_total
   Counter* data_messages = nullptr;    ///< ldp_net_data_messages_total
+  /// ldp_net_reads_total: socket reads that returned bytes. Several
+  /// messages can arrive in one read, so messages per read is the batching
+  /// the read buffer achieves.
+  Counter* reads = nullptr;
   Counter* slow_loris_reaped = nullptr;
   ///< ldp_net_slow_loris_reaped_total
   Counter* protocol_errors = nullptr;  ///< ldp_net_protocol_errors_total
@@ -276,7 +280,11 @@ struct NetServerMetrics {
   ///< ldp_net_snapshots_stale_total
   Counter* snapshots_refused = nullptr;
   ///< ldp_net_snapshots_refused_total
-  Histogram* data_read_us = nullptr;   ///< ldp_net_data_read_us
+  /// ldp_net_data_read_us: one DATA message's service time, from when its
+  /// prefix is parsed out of the read buffer to the end of its session
+  /// Feed — so it covers the rest of the payload's read only for a
+  /// message larger than one read.
+  Histogram* data_read_us = nullptr;
   bool enabled() const { return connections != nullptr; }
   static NetServerMetrics ForRegistry(MetricsRegistry* registry);
 };

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -281,6 +282,220 @@ TEST(NetFaultTest, MidFrameDisconnectAbandonsOnlyThatShard) {
   ASSERT_TRUE(reports.ok());
   // Even the complete frames of the aborted upload contributed nothing.
   EXPECT_EQ(reports.value(), kCorpusReports);
+}
+
+// The reference for a raw campaign: `streams` fed straight into a session,
+// closed in order.
+std::string DirectSnapshot(const api::Pipeline& pipeline,
+                           const std::vector<std::string>& streams) {
+  auto session = pipeline.NewServer();
+  EXPECT_TRUE(session.ok());
+  for (const std::string& bytes : streams) {
+    const size_t shard = session.value().OpenShard();
+    EXPECT_TRUE(session.value().Feed(shard, bytes).ok());
+    EXPECT_TRUE(session.value().CloseShard(shard).ok());
+  }
+  return session.value().Snapshot();
+}
+
+TEST(NetFaultTest, BurstPastTheDispatchBudgetIsServedWithoutMoreBytes) {
+  // HELLO + 100 DATA + CLOSE_SHARD in one write: more whole messages than
+  // one readable event may dispatch. The rest sit in the server's read
+  // buffer, where no readiness event will announce them, so the server
+  // must resume them on its own: the SHARD_CLOSED arrives although the
+  // client sends nothing more.
+  const api::Pipeline pipeline = MakeCorpusPipeline(/*numeric=*/false);
+  const std::string honest = MakeHonestStream(pipeline, /*seed=*/950);
+
+  auto session = pipeline.NewServer();
+  ASSERT_TRUE(session.ok());
+  auto server = net::ReportServer::Start(&session.value(), pipeline.header(),
+                                         FaultUdsEndpoint("burst"), {});
+  ASSERT_TRUE(server.ok());
+  Result<net::Socket> socket = net::ConnectSocket(server.value()->endpoint());
+  ASSERT_TRUE(socket.ok());
+  // A stall fails the reads below instead of hanging the test.
+  ASSERT_TRUE(socket.value().SetIdleTimeout(10000).ok());
+
+  net::HelloMessage hello;
+  hello.header_bytes = honest.substr(0, stream::kStreamHeaderBytes);
+  std::string wire;
+  ASSERT_TRUE(
+      net::AppendMessage(net::MessageType::kHello, net::EncodeHello(hello),
+                         &wire)
+          .ok());
+  const std::string frames = honest.substr(stream::kStreamHeaderBytes);
+  constexpr size_t kDataMessages = 100;
+  ASSERT_GE(frames.size(), kDataMessages);
+  for (size_t i = 0; i < kDataMessages; ++i) {
+    const size_t begin = frames.size() * i / kDataMessages;
+    const size_t end = frames.size() * (i + 1) / kDataMessages;
+    ASSERT_TRUE(net::AppendData(0, frames.substr(begin, end - begin), &wire)
+                    .ok());
+  }
+  ASSERT_TRUE(net::AppendMessage(net::MessageType::kCloseShard,
+                                 CloseChannelZero(), &wire)
+                  .ok());
+  ASSERT_TRUE(socket.value().SendAll(wire).ok());
+
+  auto ok = ReadRawReply(&socket.value());
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  ASSERT_EQ(ok.value().type, net::MessageType::kHelloOk);
+  auto closed = ReadRawReply(&socket.value());
+  ASSERT_TRUE(closed.ok()) << closed.status().ToString();
+  ASSERT_EQ(closed.value().type, net::MessageType::kShardClosed);
+  auto verdict = net::DecodeShardClosed(closed.value().payload);
+  ASSERT_TRUE(verdict.ok());
+  EXPECT_EQ(verdict.value().code, 0);
+  EXPECT_EQ(verdict.value().stats.accepted, kCorpusReports);
+
+  server.value()->Stop(/*drain=*/true);
+  EXPECT_EQ(session.value().Snapshot(), DirectSnapshot(pipeline, {honest}));
+}
+
+TEST(NetFaultTest, MultiplexedCampaignOneBytePerSendIsBitIdentical) {
+  // Three shards multiplexed over one connection, the whole conversation
+  // written one byte per send: every prefix and payload reaches the server
+  // in pieces across many reads, and the session must still match the
+  // directly fed reference byte for byte.
+  const api::Pipeline pipeline = MakeCorpusPipeline(/*numeric=*/false);
+  std::vector<std::string> streams;
+  for (uint64_t s = 0; s < 3; ++s) {
+    streams.push_back(MakeHonestStream(pipeline, /*seed=*/960 + s));
+  }
+
+  auto session = pipeline.NewServer();
+  ASSERT_TRUE(session.ok());
+  auto server = net::ReportServer::Start(&session.value(), pipeline.header(),
+                                         FaultUdsEndpoint("onebyte"), {});
+  ASSERT_TRUE(server.ok());
+  Result<net::Socket> socket = net::ConnectSocket(server.value()->endpoint());
+  ASSERT_TRUE(socket.ok());
+  ASSERT_TRUE(socket.value().SetIdleTimeout(10000).ok());
+
+  std::string wire;
+  for (uint32_t channel = 0; channel < streams.size(); ++channel) {
+    net::HelloMessage hello;
+    hello.channel = channel;
+    hello.ordinal = channel;
+    hello.header_bytes =
+        streams[channel].substr(0, stream::kStreamHeaderBytes);
+    ASSERT_TRUE(net::AppendMessage(net::MessageType::kHello,
+                                   net::EncodeHello(hello), &wire)
+                    .ok());
+  }
+  // Interleave 100-byte DATA chunks round-robin across the channels.
+  std::vector<size_t> offsets(streams.size(), stream::kStreamHeaderBytes);
+  for (bool progressed = true; progressed;) {
+    progressed = false;
+    for (uint32_t channel = 0; channel < streams.size(); ++channel) {
+      const std::string& bytes = streams[channel];
+      if (offsets[channel] >= bytes.size()) continue;
+      const size_t take = std::min<size_t>(100, bytes.size() - offsets[channel]);
+      ASSERT_TRUE(net::AppendData(channel, bytes.substr(offsets[channel], take),
+                                  &wire)
+                      .ok());
+      offsets[channel] += take;
+      progressed = true;
+    }
+  }
+  for (uint32_t channel = 0; channel < streams.size(); ++channel) {
+    net::CloseShardMessage close;
+    close.channel = channel;
+    ASSERT_TRUE(net::AppendMessage(net::MessageType::kCloseShard,
+                                   net::EncodeCloseShard(close), &wire)
+                    .ok());
+  }
+  for (const char byte : wire) {
+    ASSERT_TRUE(socket.value().SendAll(&byte, 1).ok());
+  }
+
+  size_t hello_ok = 0;
+  std::vector<bool> closed(streams.size(), false);
+  while (hello_ok < streams.size() ||
+         std::count(closed.begin(), closed.end(), true) <
+             static_cast<long>(streams.size())) {
+    auto reply = ReadRawReply(&socket.value());
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    ASSERT_FALSE(reply.value().eof);
+    if (reply.value().type == net::MessageType::kHelloOk) {
+      ++hello_ok;
+      continue;
+    }
+    ASSERT_EQ(reply.value().type, net::MessageType::kShardClosed);
+    auto verdict = net::DecodeShardClosed(reply.value().payload);
+    ASSERT_TRUE(verdict.ok());
+    ASSERT_LT(verdict.value().channel, streams.size());
+    EXPECT_EQ(verdict.value().code, 0);
+    EXPECT_EQ(verdict.value().stats.accepted, kCorpusReports);
+    closed[verdict.value().channel] = true;
+  }
+
+  server.value()->Stop(/*drain=*/true);
+  const net::ReportServerStats stats = server.value()->stats();
+  EXPECT_EQ(stats.shards_merged, streams.size());
+  EXPECT_EQ(stats.protocol_errors, 0u);
+  EXPECT_EQ(session.value().Snapshot(), DirectSnapshot(pipeline, streams));
+}
+
+TEST(NetFaultTest, DataLargerThanOneReadSplitAcrossReadsIsBitIdentical) {
+  // One DATA message whose payload outgrows the server's 64 KiB read
+  // chunk, written in three pieces with pauses between them: the prefix
+  // split mid-way, then most of the payload, then the rest with the
+  // CLOSE_SHARD. The server receives the payload in place across several
+  // reads and must feed it exactly once.
+  const api::Pipeline pipeline = MakeCorpusPipeline(/*numeric=*/false);
+  std::string big = MakeHonestStream(pipeline, /*seed=*/970);
+  uint64_t reports = kCorpusReports;
+  for (uint64_t seed = 971; big.size() < (160u << 10); ++seed) {
+    big += MakeHonestStream(pipeline, seed).substr(stream::kStreamHeaderBytes);
+    reports += kCorpusReports;
+  }
+  const std::string frames = big.substr(stream::kStreamHeaderBytes);
+  ASSERT_GT(frames.size(), 128u << 10);
+
+  auto session = pipeline.NewServer();
+  ASSERT_TRUE(session.ok());
+  auto server = net::ReportServer::Start(&session.value(), pipeline.header(),
+                                         FaultUdsEndpoint("bigdata"), {});
+  ASSERT_TRUE(server.ok());
+  Result<net::Socket> socket = net::ConnectSocket(server.value()->endpoint());
+  ASSERT_TRUE(socket.ok());
+  ASSERT_TRUE(socket.value().SetIdleTimeout(10000).ok());
+
+  net::HelloMessage hello;
+  hello.header_bytes = big.substr(0, stream::kStreamHeaderBytes);
+  ASSERT_TRUE(SendRawMessage(&socket.value(), net::MessageType::kHello,
+                             net::EncodeHello(hello))
+                  .ok());
+  auto ok = ReadRawReply(&socket.value());
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  ASSERT_EQ(ok.value().type, net::MessageType::kHelloOk);
+
+  std::string wire;
+  ASSERT_TRUE(net::AppendData(0, frames, &wire).ok());
+  ASSERT_TRUE(net::AppendMessage(net::MessageType::kCloseShard,
+                                 CloseChannelZero(), &wire)
+                  .ok());
+  const size_t cuts[] = {0, 3, 70u << 10, wire.size()};
+  for (size_t i = 0; i + 1 < std::size(cuts); ++i) {
+    ASSERT_TRUE(
+        socket.value().SendAll(wire.data() + cuts[i], cuts[i + 1] - cuts[i])
+            .ok());
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+
+  auto closed = ReadRawReply(&socket.value());
+  ASSERT_TRUE(closed.ok()) << closed.status().ToString();
+  ASSERT_EQ(closed.value().type, net::MessageType::kShardClosed);
+  auto verdict = net::DecodeShardClosed(closed.value().payload);
+  ASSERT_TRUE(verdict.ok());
+  EXPECT_EQ(verdict.value().code, 0);
+  EXPECT_EQ(verdict.value().stats.rejected, 0u);
+  EXPECT_EQ(verdict.value().stats.accepted, reports);
+
+  server.value()->Stop(/*drain=*/true);
+  EXPECT_EQ(session.value().Snapshot(), DirectSnapshot(pipeline, {big}));
 }
 
 TEST(NetFaultTest, SlowLorisPartialMessageIsReapedByIdleTimeout) {

@@ -216,6 +216,61 @@ TEST(ObsServer, ScrapedCountersMatchCampaignExactly) {
   server.value()->Stop(/*drain=*/true);
 }
 
+TEST(ObsServer, ReadsCarryMoreThanOneMessageOnAMultiplexedCampaign) {
+  // ldp_net_reads_total counts socket reads that returned bytes. Each
+  // pipelined close sends its last DATA and the CLOSE_SHARD in one write,
+  // and the server reads whole bursts at once, so a multiplexed campaign
+  // needs fewer reads than it sends messages.
+  const api::Pipeline pipeline = MakeCorpusPipeline(/*numeric=*/false);
+  obs::MetricsRegistry registry;
+  auto session = pipeline.NewServer();
+  ASSERT_TRUE(session.ok());
+  net::ReportServerOptions options;
+  options.metrics = &registry;
+  auto server = net::ReportServer::Start(&session.value(), pipeline.header(),
+                                         UdsEndpoint("reads"), options);
+  ASSERT_TRUE(server.ok());
+
+  constexpr size_t kShards = 8;
+  auto client = net::CollectorClient::Connect(server.value()->endpoint(),
+                                              pipeline.header(),
+                                              /*ordinal=*/0);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  std::vector<uint32_t> channels = {0};
+  for (size_t s = 1; s < kShards; ++s) {
+    auto channel = client.value().OpenShard(pipeline.header(), s);
+    ASSERT_TRUE(channel.ok()) << channel.status().ToString();
+    channels.push_back(channel.value());
+  }
+  for (size_t s = 0; s < kShards; ++s) {
+    const std::string stream = MakeHonestStream(pipeline, /*seed=*/500 + s);
+    ASSERT_TRUE(client.value()
+                    .Send(channels[s],
+                          stream.data() + stream::kStreamHeaderBytes,
+                          stream.size() - stream::kStreamHeaderBytes)
+                    .ok());
+    ASSERT_TRUE(client.value().CloseShardBegin(channels[s]).ok());
+  }
+  for (const uint32_t channel : channels) {
+    auto summary = client.value().AwaitShardClosed(channel);
+    ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+    EXPECT_TRUE(summary.value().status.ok());
+  }
+  server.value()->Stop(/*drain=*/true);
+
+  const uint64_t messages =
+      registry.GetCounter("ldp_net_hello_accepted_total")->Value() +
+      registry.GetCounter("ldp_net_data_messages_total")->Value() +
+      registry.GetCounter("ldp_net_shards_merged_total")->Value();
+  const uint64_t reads = registry.GetCounter("ldp_net_reads_total")->Value();
+  EXPECT_EQ(messages, 3 * kShards);
+  EXPECT_GT(reads, 0u);
+  EXPECT_LT(reads, messages);
+  // The counter is exported next to the other ldp_net_* series.
+  EXPECT_NE(obs::ToPrometheusText(registry).find("ldp_net_reads_total"),
+            std::string::npos);
+}
+
 TEST(ObsServer, SnapshotBitIdenticalWithTelemetry) {
   const api::Pipeline pipeline = MakeCorpusPipeline(/*numeric=*/false);
   std::vector<std::string> streams;

@@ -823,5 +823,124 @@ TEST(ReportServerTest, DuplicateActiveOrdinalIsRefused) {
   server.value()->Stop(/*drain=*/false);
 }
 
+// --- CollectorClient batching -----------------------------------------------
+
+TEST(CollectorClientTest, PoisonedCoalescedWriteReturnsTheServerVerdict) {
+  // A stream whose first frame claims an oversized length: the session's
+  // Feed refuses it, and the server answers ERROR and hangs up. The client
+  // sends staged DATA together with CLOSE_SHARD in one write; whether the
+  // verdict is read after that write or the write itself fails because the
+  // server already hung up, the caller gets the server's verdict, never a
+  // bare send error.
+  const api::Pipeline pipeline = MakeCorpusPipeline(/*numeric=*/false);
+  const std::string mutant = ldp::testing::CorpusOversizedFirstFrameLength(
+      MakeHonestStream(pipeline, /*seed=*/780));
+  const std::string frames = mutant.substr(stream::kStreamHeaderBytes);
+  Status expected = Status::OK();
+  {
+    auto direct = pipeline.NewServer();
+    ASSERT_TRUE(direct.ok());
+    expected = direct.value().Feed(direct.value().OpenShard(), mutant);
+    ASSERT_FALSE(expected.ok());
+    ASSERT_NE(expected.code(), StatusCode::kIoError);
+  }
+
+  auto session = pipeline.NewServer();
+  ASSERT_TRUE(session.ok());
+  auto server = net::ReportServer::Start(&session.value(), pipeline.header(),
+                                         TestUdsEndpoint("poisoned_close"), {});
+  ASSERT_TRUE(server.ok());
+  const net::Endpoint endpoint = server.value()->endpoint();
+
+  {
+    // Every byte staged until the close: one write carries DATA + CLOSE.
+    net::CollectorClientOptions options;
+    options.flush_bytes = 1u << 20;
+    auto client = net::CollectorClient::Connect(endpoint, pipeline.header(),
+                                                /*ordinal=*/0, options);
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    ASSERT_TRUE(client.value().Send(frames.data(), frames.size()).ok());
+    auto closed = client.value().CloseShard(0);
+    ASSERT_FALSE(closed.ok());
+    EXPECT_EQ(closed.status().code(), expected.code())
+        << closed.status().ToString();
+  }
+  {
+    // The hostile frame leaves early in its own DATA; once the server has
+    // hung up, the coalesced DATA + CLOSE write fails.
+    net::CollectorClientOptions options;
+    options.flush_bytes = 64;
+    auto client = net::CollectorClient::Connect(endpoint, pipeline.header(),
+                                                /*ordinal=*/1, options);
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    ASSERT_TRUE(client.value().Send(frames.data(), 64).ok());
+    for (int i = 0; i < 500 && server.value()->stats().shards_abandoned < 2;
+         ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    ASSERT_EQ(server.value()->stats().shards_abandoned, 2u);
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    ASSERT_TRUE(client.value().Send(frames.data() + 64, 10).ok());
+    const Status closing = client.value().CloseShardBegin(0);
+    ASSERT_FALSE(closing.ok());
+    EXPECT_EQ(closing.code(), expected.code()) << closing.ToString();
+  }
+  server.value()->Stop(/*drain=*/true);
+}
+
+TEST(CollectorClientTest, VerdictsReadTogetherMatchTheirChannelsInReverse) {
+  // Four pipelined closes whose SHARD_CLOSED replies all land before the
+  // first await, so one read brings them all. Each shard carries a
+  // different report count, and awaiting in reverse order must still hand
+  // every channel its own verdict.
+  const api::Pipeline pipeline = MakeCorpusPipeline(/*numeric=*/false);
+  const std::string honest = MakeHonestStream(pipeline, /*seed=*/790);
+  const std::string frames = honest.substr(stream::kStreamHeaderBytes);
+  std::vector<std::string> streams;
+  for (size_t s = 0; s < 4; ++s) {
+    std::string bytes = honest;
+    for (size_t copy = 0; copy < s; ++copy) bytes += frames;
+    streams.push_back(std::move(bytes));
+  }
+
+  auto session = pipeline.NewServer();
+  ASSERT_TRUE(session.ok());
+  auto server = net::ReportServer::Start(&session.value(), pipeline.header(),
+                                         TestUdsEndpoint("reverse_await"), {});
+  ASSERT_TRUE(server.ok());
+  auto client = net::CollectorClient::Connect(server.value()->endpoint(),
+                                              pipeline.header(),
+                                              /*ordinal=*/0);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  std::vector<uint32_t> channels = {0};
+  for (size_t s = 1; s < streams.size(); ++s) {
+    auto channel = client.value().OpenShard(pipeline.header(), s);
+    ASSERT_TRUE(channel.ok()) << channel.status().ToString();
+    channels.push_back(channel.value());
+  }
+  for (size_t s = 0; s < streams.size(); ++s) {
+    ASSERT_TRUE(client.value()
+                    .Send(channels[s],
+                          streams[s].data() + stream::kStreamHeaderBytes,
+                          streams[s].size() - stream::kStreamHeaderBytes)
+                    .ok());
+    ASSERT_TRUE(client.value().CloseShardBegin(channels[s]).ok());
+  }
+  for (int i = 0; i < 500 && server.value()->stats().shards_merged < 4; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_EQ(server.value()->stats().shards_merged, 4u);
+  for (size_t s = streams.size(); s-- > 0;) {
+    auto summary = client.value().AwaitShardClosed(channels[s]);
+    ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+    EXPECT_TRUE(summary.value().status.ok());
+    EXPECT_EQ(summary.value().stats.accepted, (s + 1) * kCorpusReports);
+  }
+  EXPECT_EQ(client.value().open_shards(), 0u);
+  server.value()->Stop(/*drain=*/true);
+  EXPECT_EQ(session.value().Snapshot(),
+            DirectSessionSnapshot(pipeline, streams));
+}
+
 }  // namespace
 }  // namespace ldp

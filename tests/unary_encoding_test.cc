@@ -109,7 +109,9 @@ TEST(UnaryEncodingTest, SkipSamplingReportsAreSortedUniqueAndInDomain) {
     const auto report = oracle.PerturbSkip(31, &rng);
     for (size_t j = 0; j < report.size(); ++j) {
       ASSERT_LT(report[j], 64u);
-      if (j > 0) ASSERT_LT(report[j - 1], report[j]);
+      if (j > 0) {
+        ASSERT_LT(report[j - 1], report[j]);
+      }
     }
     ASSERT_TRUE(oracle.ValidateReport(report).ok());
   }
