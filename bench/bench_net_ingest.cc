@@ -340,10 +340,12 @@ double RunNetworked(const api::Pipeline& pipeline,
 // How the event-driven edge scales with the number of logical reporters:
 // R shards multiplexed as channels over kSweepConnections real
 // connections (ordinal s rides connection s % kSweepConnections), closes
-// pipelined so a verdict round trip never idles a connection. Each
-// row records aggregate throughput and the p99 shard-admission latency
-// (HELLO -> HELLO_OK round trip as the reporter sees it, while the
-// connection's other channels keep streaming).
+// pipelined so a verdict round trip never idles a connection. HELLOs are
+// pipelined too: OpenShard only stages a channel's HELLO, which leaves with
+// that shard's DATA and CLOSE_SHARD in one write. Each row records
+// aggregate throughput and the p99 shard-admission latency as the reporter
+// sees it: Connect's HELLO -> HELLO_OK round trip for a connection's first
+// shard, the local OpenShard call for every later one.
 
 constexpr size_t kSweepConnections = 16;
 

@@ -48,6 +48,7 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <iosfwd>
 #include <memory>
 #include <mutex>
@@ -265,7 +266,7 @@ class ServerSession {
   /// decodes surface to later Feed calls, and the queued-byte count behind
   /// Options::max_pending_feed_bytes. Heap-allocated with its own lock so
   /// workers can touch it while the session mutex is held by a drain
-  /// (CloseShard), and so its address survives shards_ reallocation.
+  /// (CloseShard), and so queued decode tasks can share it.
   ///
   /// `mutex` also serializes the inline path: Feed decodes a chunk under
   /// kInlineFeedBytes on the calling thread only while pending_bytes == 0,
@@ -333,7 +334,10 @@ class ServerSession {
   /// in flight is safe — tasks reference only heap state.
   std::unique_ptr<std::mutex> mutex_;
   std::vector<std::unique_ptr<stream::AggregatorHandle>> epochs_;
-  std::vector<ShardState> shards_;  // every shard ever opened (ids stable)
+  /// Every shard ever opened, indexed by id. A deque grows without
+  /// reallocating, so a session of many tiny shards never holds the table
+  /// twice.
+  std::deque<ShardState> shards_;
   size_t open_shards_ = 0;
   /// Decodes open shards when options_.ingest_threads >= 2; null otherwise.
   /// Declared last so it is destroyed FIRST: its destructor drains and

@@ -8,9 +8,15 @@ namespace ldp::net {
 namespace {
 
 // What one socket read asks for. Replies are small, so one read usually
-// brings every reply the server sent for one event — a HELLO_OK and the
-// SHARD_CLOSED verdicts queued ahead of it.
+// brings every reply the server sent for one event — HELLO_OKs and the
+// SHARD_CLOSED verdicts queued with them.
 constexpr size_t kReadChunkBytes = 16u << 10;
+
+// Owed replies a write may leave unread before it drains the arrived ones
+// (non-blocking). Bounds what the collector buffers for a reporter that
+// awaits its verdicts only at the end, at one extra recv per this many
+// replies.
+constexpr uint64_t kReplyBacklog = 256;
 
 }  // namespace
 
@@ -34,17 +40,18 @@ Result<CollectorClient> CollectorClient::Connect(
     LDP_RETURN_IF_ERROR(client.socket_.SetIdleTimeout(options.idle_timeout_ms));
   }
   client.epoch_ = options.epoch;
-  const uint32_t channel = client.next_channel_++;
-  LDP_RETURN_IF_ERROR(client.Negotiate(header, ordinal, channel));
-  client.primary_ = channel;
+  client.drain_at_ = kReplyBacklog;
+  LDP_RETURN_IF_ERROR(client.Negotiate(header, ordinal));
   return client;
 }
 
-Status CollectorClient::Negotiate(const stream::StreamHeader& header,
-                                  uint64_t ordinal, uint32_t channel) {
+Status CollectorClient::StageHello(const stream::StreamHeader& header,
+                                   uint64_t ordinal, uint32_t channel,
+                                   uint32_t flags) {
   HelloMessage hello;
   hello.channel = channel;
   hello.ordinal = ordinal;
+  hello.flags = flags;
   if (effective_window_ > 0) hello.flags |= kHelloFlagDataAcks;
   hello.header_bytes = stream::EncodeStreamHeader(header);
   if (!options_.campaign_key.empty()) {
@@ -56,37 +63,44 @@ Status CollectorClient::Negotiate(const stream::StreamHeader& header,
       return Status::InvalidArgument("reporter id exceeds the protocol bound");
     }
     hello.reporter_id = options_.reporter_id;
+    // The tag binds the epoch of the latest HELLO_OK / EPOCH_ADVANCED.
     hello.auth_tag =
         ComputeHelloTag(options_.campaign_key, options_.reporter_id, channel,
                         epoch_, hello.header_bytes);
   }
-  wire_.clear();
   LDP_RETURN_IF_ERROR(
       AppendMessage(MessageType::kHello, EncodeHello(hello), &wire_));
-  LDP_RETURN_IF_ERROR(socket_.SendAll(wire_));
-  std::string payload;
-  LDP_ASSIGN_OR_RETURN(payload, AwaitReply(MessageType::kHelloOk, channel));
-  HelloOkMessage ok;
-  LDP_ASSIGN_OR_RETURN(ok, DecodeHelloOk(payload));
-  if (ok.channel != channel) {
-    return Status::Internal("collector acknowledged the wrong channel");
+  channels_[channel] = ShardChannel();
+  ++owed_replies_;
+  return Status::OK();
+}
+
+Status CollectorClient::Negotiate(const stream::StreamHeader& header,
+                                  uint64_t ordinal) {
+  if (!refusal_.ok()) return refusal_;
+  const uint32_t channel = next_channel_++;
+  LDP_RETURN_IF_ERROR(StageHello(header, ordinal, channel, /*flags=*/0));
+  primary_ = channel;
+  Status admitted = SendWire();
+  // Replies for other channels (pipelined HELLO_OKs, early verdicts) are
+  // applied on the way to this channel's HELLO_OK.
+  while (admitted.ok() && !channels_[channel].admitted) {
+    admitted = PumpMessage();
   }
-  ShardChannel state;
-  state.shard = ok.shard;
-  state.resume_offset = ok.resume_offset;
-  channels_[channel] = std::move(state);
-  epoch_ = ok.epoch;
-  if (channel == primary_ || channels_.size() == 1) {
-    shard_ = ok.shard;
-    resume_offset_ = ok.resume_offset;
+  if (!admitted.ok()) {
+    channels_.erase(channel);
+    return admitted;
   }
   return Status::OK();
 }
 
 Result<uint32_t> CollectorClient::OpenShard(const stream::StreamHeader& header,
                                             uint64_t ordinal) {
-  const uint32_t channel = next_channel_++;
-  LDP_RETURN_IF_ERROR(Negotiate(header, ordinal, channel));
+  if (!refusal_.ok()) return refusal_;
+  const uint32_t channel = next_channel_;
+  LDP_RETURN_IF_ERROR(
+      StageHello(header, ordinal, channel, kHelloFlagFromStart));
+  ++next_channel_;
   return channel;
 }
 
@@ -95,50 +109,64 @@ Status CollectorClient::Reopen(const stream::StreamHeader& header,
   if (shard_open()) {
     return Status::FailedPrecondition("close the current shard first");
   }
-  const uint32_t channel = next_channel_++;
-  LDP_RETURN_IF_ERROR(Negotiate(header, ordinal, channel));
-  primary_ = channel;
-  shard_ = channels_[channel].shard;
-  resume_offset_ = channels_[channel].resume_offset;
-  return Status::OK();
+  return Negotiate(header, ordinal);
 }
 
-uint64_t CollectorClient::resume_offset(uint32_t channel) const {
-  auto found = channels_.find(channel);
-  return found == channels_.end() ? 0 : found->second.resume_offset;
+Result<bool> CollectorClient::TakeBuffered(Reply* reply) {
+  if (inbuf_.size() < kMessageHeaderBytes) return false;
+  MessageHeader header;
+  LDP_ASSIGN_OR_RETURN(header,
+                       DecodeMessageHeader(inbuf_.data(), kMessageHeaderBytes));
+  const size_t total = kMessageHeaderBytes + header.payload_length;
+  if (inbuf_.size() < total) return false;
+  reply->type = header.type;
+  reply->payload = std::string_view(inbuf_.data() + kMessageHeaderBytes,
+                                    header.payload_length);
+  // Consume only advances the read position: the bytes stay put until the
+  // next Fill, which is what keeps the view valid until the next read.
+  inbuf_.Consume(total);
+  return true;
 }
 
-Result<std::pair<MessageType, std::string>> CollectorClient::ReadMessage() {
+Result<bool> CollectorClient::Fill(bool wait) {
+  size_t need = kMessageHeaderBytes;
+  if (inbuf_.size() >= kMessageHeaderBytes) {
+    MessageHeader header;
+    LDP_ASSIGN_OR_RETURN(
+        header, DecodeMessageHeader(inbuf_.data(), kMessageHeaderBytes));
+    need += header.payload_length;
+  }
+  const size_t want = std::max(kReadChunkBytes, need - inbuf_.size());
+  bool eof = false;
+  char* into = inbuf_.Reserve(want);
+  Result<size_t> got = wait ? socket_.RecvSome(into, want, &eof)
+                            : socket_.RecvAvailable(into, want, &eof);
+  if (!got.ok()) return got.status();
+  if (eof) {
+    return Status::IoError(inbuf_.empty()
+                               ? "collector closed the connection"
+                               : "collector closed the connection mid-reply");
+  }
+  // A blocking socket reads nothing only when its idle timeout expired.
+  if (wait && got.value() == 0) {
+    return Status::DeadlineExceeded("recv timed out");
+  }
+  inbuf_.Commit(got.value());
+  return got.value() == want;
+}
+
+Result<CollectorClient::Reply> CollectorClient::ReadMessage() {
+  if (!refusal_.ok()) return refusal_;
+  Reply reply;
   while (true) {
-    size_t need = kMessageHeaderBytes;
-    if (inbuf_.size() >= kMessageHeaderBytes) {
-      Result<MessageHeader> header =
-          DecodeMessageHeader(inbuf_.data(), kMessageHeaderBytes);
-      if (!header.ok()) return header.status();
-      need += header.value().payload_length;
-      if (inbuf_.size() >= need) {
-        std::string payload(inbuf_.data() + kMessageHeaderBytes,
-                            header.value().payload_length);
-        inbuf_.Consume(need);
-        return std::make_pair(header.value().type, std::move(payload));
-      }
-    }
-    const size_t want = std::max(kReadChunkBytes, need - inbuf_.size());
-    bool eof = false;
-    Result<size_t> got = socket_.RecvSome(inbuf_.Reserve(want), want, &eof);
-    if (!got.ok()) return got.status();
-    if (eof) {
-      return Status::IoError(inbuf_.empty()
-                                 ? "collector closed the connection"
-                                 : "collector closed the connection mid-reply");
-    }
-    // A blocking socket reads nothing only when its idle timeout expired.
-    if (got.value() == 0) return Status::DeadlineExceeded("recv timed out");
-    inbuf_.Commit(got.value());
+    bool taken = false;
+    LDP_ASSIGN_OR_RETURN(taken, TakeBuffered(&reply));
+    if (taken) return reply;
+    LDP_RETURN_IF_ERROR(Fill(/*wait=*/true).status());
   }
 }
 
-Status CollectorClient::ProcessAck(const std::string& payload) {
+Status CollectorClient::ProcessAck(std::string_view payload) {
   DataAckMessage ack;
   LDP_ASSIGN_OR_RETURN(ack, DecodeDataAck(payload));
   for (const DataAckMessage::Entry& entry : ack.entries) {
@@ -150,58 +178,76 @@ Status CollectorClient::ProcessAck(const std::string& payload) {
   return Status::OK();
 }
 
-Status CollectorClient::PumpMessage() {
-  std::pair<MessageType, std::string> message;
-  LDP_ASSIGN_OR_RETURN(message, ReadMessage());
-  switch (message.first) {
+Status CollectorClient::ApplyReply(const Reply& reply) {
+  switch (reply.type) {
     case MessageType::kDataAck:
-      return ProcessAck(message.second);
+      return ProcessAck(reply.payload);
+    case MessageType::kHelloOk: {
+      HelloOkMessage ok;
+      LDP_ASSIGN_OR_RETURN(ok, DecodeHelloOk(reply.payload));
+      auto found = channels_.find(ok.channel);
+      if (found == channels_.end() || found->second.admitted) {
+        return Status::Internal("collector acknowledged an unknown channel");
+      }
+      found->second.admitted = true;
+      epoch_ = ok.epoch;
+      --owed_replies_;
+      if (ok.channel == primary_) {
+        shard_ = ok.shard;
+        resume_offset_ = ok.resume_offset;
+      } else if (ok.resume_offset != 0) {
+        return Status::Internal(
+            "collector resumed a shard that streams from its start");
+      }
+      return Status::OK();
+    }
     case MessageType::kShardClosed: {
-      // A pipelined close's verdict landed while this thread was waiting
-      // for window room. Stash it for AwaitShardClosed.
       ShardClosedMessage closed;
-      LDP_ASSIGN_OR_RETURN(closed, DecodeShardClosed(message.second));
-      closed_payloads_[closed.channel] = std::move(message.second);
+      LDP_ASSIGN_OR_RETURN(closed, DecodeShardClosed(reply.payload));
+      auto found = channels_.find(closed.channel);
+      if (found == channels_.end() || !found->second.closing ||
+          found->second.closed) {
+        return Status::Internal("collector closed an unknown channel");
+      }
+      found->second.closed = true;
+      found->second.code = closed.code;
+      found->second.stats = closed.stats;
+      if (closed.code != 0) {
+        verdict_messages_[closed.channel] = std::move(closed.message);
+      }
+      --owed_replies_;
       return Status::OK();
     }
     case MessageType::kError: {
       ErrorMessage error;
-      LDP_ASSIGN_OR_RETURN(error, DecodeErrorMessage(message.second));
-      return StatusFromWire(error.code, error.message);
+      LDP_ASSIGN_OR_RETURN(error, DecodeErrorMessage(reply.payload));
+      refusal_ = StatusFromWire(error.code, error.message);
+      return refusal_;
     }
     default:
       return Status::InvalidArgument("unexpected reply type from collector");
   }
 }
 
-Result<std::string> CollectorClient::AwaitReply(MessageType expected,
-                                                uint32_t want_channel) {
+Status CollectorClient::PumpMessage() {
+  Reply reply;
+  LDP_ASSIGN_OR_RETURN(reply, ReadMessage());
+  return ApplyReply(reply);
+}
+
+Status CollectorClient::DrainReplies() {
+  bool more = true;
   while (true) {
-    std::pair<MessageType, std::string> message;
-    LDP_ASSIGN_OR_RETURN(message, ReadMessage());
-    if (message.first == MessageType::kDataAck) {
-      LDP_RETURN_IF_ERROR(ProcessAck(message.second));
+    Reply reply;
+    bool taken = false;
+    LDP_ASSIGN_OR_RETURN(taken, TakeBuffered(&reply));
+    if (taken) {
+      LDP_RETURN_IF_ERROR(ApplyReply(reply));
       continue;
     }
-    if (message.first == MessageType::kError) {
-      ErrorMessage error;
-      LDP_ASSIGN_OR_RETURN(error, DecodeErrorMessage(message.second));
-      return StatusFromWire(error.code, error.message);
-    }
-    if (message.first == MessageType::kShardClosed) {
-      ShardClosedMessage closed;
-      LDP_ASSIGN_OR_RETURN(closed, DecodeShardClosed(message.second));
-      if (expected == MessageType::kShardClosed &&
-          closed.channel == want_channel) {
-        return std::move(message.second);
-      }
-      closed_payloads_[closed.channel] = std::move(message.second);
-      continue;
-    }
-    if (message.first != expected) {
-      return Status::InvalidArgument("unexpected reply type from collector");
-    }
-    return std::move(message.second);
+    // A short read emptied the socket: no recv that would only block.
+    if (!more) return Status::OK();
+    LDP_ASSIGN_OR_RETURN(more, Fill(/*wait=*/false));
   }
 }
 
@@ -215,9 +261,12 @@ uint64_t CollectorClient::TotalInFlight() const {
 
 Status CollectorClient::AppendStaged(uint32_t channel, ShardChannel& state) {
   if (state.staged.empty()) return Status::OK();
-  if (effective_window_ > 0) {
+  if (effective_window_ > 0 &&
+      TotalInFlight() + state.staged.size() > effective_window_) {
     // Window full: the next DATA would overrun the bound, so block on the
-    // reply stream until acks release room (early verdicts are stashed).
+    // reply stream until acks release room. Staged HELLOs go out first;
+    // replies never add or erase channels, so `state` stays valid.
+    if (!wire_.empty()) LDP_RETURN_IF_ERROR(SendWire());
     while (TotalInFlight() + state.staged.size() > effective_window_) {
       LDP_RETURN_IF_ERROR(PumpMessage());
     }
@@ -229,22 +278,28 @@ Status CollectorClient::AppendStaged(uint32_t channel, ShardChannel& state) {
 }
 
 Status CollectorClient::SendWire() {
+  if (!refusal_.ok()) return refusal_;
   const Status sent = socket_.SendAll(wire_);
-  if (sent.ok()) return sent;
-  // A send failure usually means the server poisoned the shard and closed
-  // the connection; its pending ERROR names the real cause. With acks
-  // enabled a DATA_ACK (or an early verdict) may sit ahead of the ERROR in
-  // the reply stream, so pump until a verdict surfaces or the read side
-  // dies too.
-  while (true) {
-    Status pending = PumpMessage();
-    if (pending.ok()) continue;
-    return pending.code() == StatusCode::kIoError ? sent : pending;
+  wire_.clear();
+  if (!sent.ok()) {
+    // A send failure usually means the server refused a HELLO or poisoned
+    // a shard and closed the connection; its pending ERROR names the real
+    // cause. Replies (acks, HELLO_OKs, verdicts) may sit ahead of the
+    // ERROR, so pump until a verdict surfaces or the read side dies too.
+    while (true) {
+      Status pending = PumpMessage();
+      if (pending.ok()) continue;
+      return pending.code() == StatusCode::kIoError ? sent : pending;
+    }
   }
+  if (owed_replies_ >= drain_at_) {
+    LDP_RETURN_IF_ERROR(DrainReplies());
+    drain_at_ = owed_replies_ + kReplyBacklog;
+  }
+  return Status::OK();
 }
 
 Status CollectorClient::Flush(uint32_t channel, ShardChannel& state) {
-  wire_.clear();
   LDP_RETURN_IF_ERROR(AppendStaged(channel, state));
   return wire_.empty() ? Status::OK() : SendWire();
 }
@@ -276,19 +331,22 @@ Status CollectorClient::CloseShardBegin(uint32_t channel) {
   if (found == channels_.end()) {
     return Status::FailedPrecondition("no open shard on this connection");
   }
-  if (found->second.closing) {
+  ShardChannel& state = found->second;
+  if (state.closing) {
     return Status::FailedPrecondition("shard close already in flight");
   }
-  // The staged DATA and the CLOSE_SHARD leave in one write.
-  wire_.clear();
-  LDP_RETURN_IF_ERROR(AppendStaged(channel, found->second));
+  // Staged HELLOs, the staged DATA and the CLOSE_SHARD leave in one write.
+  LDP_RETURN_IF_ERROR(AppendStaged(channel, state));
+  // The record lives until its verdict is awaited, maybe long after:
+  // release the staging buffer now.
+  std::string().swap(state.staged);
   CloseShardMessage close;
   close.channel = channel;
   LDP_RETURN_IF_ERROR(
       AppendMessage(MessageType::kCloseShard, EncodeCloseShard(close), &wire_));
-  LDP_RETURN_IF_ERROR(SendWire());
-  found->second.closing = true;
-  return Status::OK();
+  state.closing = true;
+  ++owed_replies_;
+  return SendWire();
 }
 
 Result<ShardCloseSummary> CollectorClient::AwaitShardClosed(uint32_t channel) {
@@ -299,21 +357,20 @@ Result<ShardCloseSummary> CollectorClient::AwaitShardClosed(uint32_t channel) {
   if (!found->second.closing) {
     return Status::FailedPrecondition("CloseShardBegin this channel first");
   }
-  std::string payload;
-  auto stashed = closed_payloads_.find(channel);
-  if (stashed != closed_payloads_.end()) {
-    payload = std::move(stashed->second);
-    closed_payloads_.erase(stashed);
-  } else {
-    LDP_ASSIGN_OR_RETURN(payload,
-                         AwaitReply(MessageType::kShardClosed, channel));
+  while (!found->second.closed) {
+    LDP_RETURN_IF_ERROR(PumpMessage());
+    found = channels_.find(channel);
   }
-  ShardClosedMessage closed;
-  LDP_ASSIGN_OR_RETURN(closed, DecodeShardClosed(payload));
-  channels_.erase(channel);
   ShardCloseSummary summary;
-  summary.status = StatusFromWire(closed.code, closed.message);
-  summary.stats = closed.stats;
+  summary.stats = found->second.stats;
+  if (found->second.code == 0) {
+    summary.status = Status::OK();
+  } else {
+    auto message = verdict_messages_.find(channel);
+    summary.status = StatusFromWire(found->second.code, message->second);
+    verdict_messages_.erase(message);
+  }
+  channels_.erase(found);
   return summary;
 }
 
@@ -327,14 +384,16 @@ Result<uint32_t> CollectorClient::AdvanceEpoch() {
     return Status::FailedPrecondition(
         "close the current shard before advancing the epoch");
   }
-  wire_.clear();
   LDP_RETURN_IF_ERROR(AppendMessage(MessageType::kAdvanceEpoch, "", &wire_));
-  LDP_RETURN_IF_ERROR(socket_.SendAll(wire_));
-  std::string payload;
-  LDP_ASSIGN_OR_RETURN(payload,
-                       AwaitReply(MessageType::kEpochAdvanced, 0));
+  LDP_RETURN_IF_ERROR(SendWire());
+  Reply reply;
+  while (true) {
+    LDP_ASSIGN_OR_RETURN(reply, ReadMessage());
+    if (reply.type == MessageType::kEpochAdvanced) break;
+    LDP_RETURN_IF_ERROR(ApplyReply(reply));
+  }
   EpochAdvancedMessage advanced;
-  LDP_ASSIGN_OR_RETURN(advanced, DecodeEpochAdvanced(payload));
+  LDP_ASSIGN_OR_RETURN(advanced, DecodeEpochAdvanced(reply.payload));
   LDP_RETURN_IF_ERROR(StatusFromWire(advanced.code, advanced.message));
   epoch_ = advanced.epoch;
   return advanced.epoch;

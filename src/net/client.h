@@ -1,16 +1,25 @@
 // CollectorClient: the reporter's side of the collector protocol
-// (net/protocol.h). One connection now multiplexes many logical shards:
-// OpenShard performs the HELLO/schema negotiation for one channel, Send
-// ships raw report-stream frame bytes in bounded DATA messages, and
-// CloseShard declares end-of-stream and returns the server's merge verdict
-// with exact ingest statistics. Closes can be pipelined and their
-// SHARD_CLOSED replies interleave with traffic on other channels — the
-// client matches replies by channel and stashes early arrivals, so callers
-// may await verdicts in any order.
+// (net/protocol.h). One connection multiplexes many logical shards:
+// OpenShard opens one more channel, Send ships raw report-stream frame
+// bytes in bounded DATA messages, and CloseShard declares end-of-stream and
+// returns the server's merge verdict with exact ingest statistics.
 //
-// The legacy single-shard surface (Connect negotiating one shard, then
-// Send/Close/Reopen) is preserved as wrappers over one "primary" channel;
-// existing reporters compile and behave unchanged.
+// Pipelined HELLOs: OpenShard does no I/O. It stages the channel's HELLO,
+// which leaves ahead of the DATA and CLOSE_SHARD of the connection's next
+// write, so a small shard costs one write and no round trip. HELLO_OK is
+// then a reply read later, like SHARD_CLOSED: the client matches replies
+// by channel and keeps verdicts that arrive early, decoded, so callers may
+// await them in any order. A pipelined HELLO cannot learn a resume offset
+// before it streams, so it sets kHelloFlagFromStart and always resends the
+// whole shard. A refused HELLO closes the connection; the server's ERROR
+// then surfaces from the next call that writes or reads, while verdicts
+// read before it are still returned.
+//
+// Connect and Reopen still negotiate synchronously: they return only once
+// HELLO_OK (or the refusal) for their channel is read, so a schema/ε
+// mismatch fails before any report is sent and resume_offset() is known.
+// This legacy single-shard surface (Connect, then Send/Close/Reopen) wraps
+// one "primary" channel; existing reporters compile and behave unchanged.
 //
 // Flow control: with CollectorClientOptions::window_bytes set, the HELLO
 // opts in to batched DATA_ACK watermarks and Send blocks once
@@ -18,15 +27,16 @@
 // on a fast link cannot buffer the collector into the ground. The window
 // is clamped to at least kDataAckFlushBytes + flush_bytes, because the
 // server batches acks and a smaller window could wait for an ack the
-// server is still accumulating.
+// server is still accumulating. Independently, once more than a fixed
+// number of replies are owed, a write is followed by a non-blocking read
+// of whatever replies have arrived, so a reporter that awaits its verdicts
+// only at the end does not make the collector buffer every reply.
 //
 // Batched I/O: replies are read through a buffer (net/read_buffer.h), so
-// one recv brings every reply the server sent for one event — typically a
-// HELLO_OK together with SHARD_CLOSED verdicts of earlier pipelined
-// closes, which are stashed for AwaitShardClosed. CloseShardBegin sends the
-// channel's staged DATA and its CLOSE_SHARD in one write. A write the
-// collector refused still surfaces its pending ERROR verdict, not a bare
-// send error.
+// one recv brings every reply the server sent for one event. CloseShardBegin
+// sends the staged HELLOs, the channel's staged DATA and its CLOSE_SHARD in
+// one write. A write the collector refused still surfaces its pending ERROR
+// verdict, not a bare send error.
 //
 // Blocking I/O with an optional idle timeout (a read that idles past it
 // fails with kDeadlineExceeded); thread-compatible (one client per thread,
@@ -38,6 +48,8 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 
 #include "net/protocol.h"
@@ -95,8 +107,9 @@ class CollectorClient {
 
   // --- multi-shard surface -------------------------------------------------
 
-  /// Negotiates one more shard over this connection and returns its
-  /// channel id. Any number of shards may be open concurrently.
+  /// Opens one more shard over this connection and returns its channel
+  /// id, without I/O: the HELLO leaves with the next write (see the file
+  /// comment). Any number of shards may be open concurrently.
   Result<uint32_t> OpenShard(const stream::StreamHeader& header,
                              uint64_t ordinal);
 
@@ -117,10 +130,6 @@ class CollectorClient {
   /// CloseShardBegin + AwaitShardClosed.
   Result<ShardCloseSummary> CloseShard(uint32_t channel);
 
-  /// Post-header bytes already durable server-side for `channel`'s shard
-  /// (WAL resume handshake); 0 for a fresh shard.
-  uint64_t resume_offset(uint32_t channel) const;
-
   /// Channels currently open (closing ones included until awaited).
   size_t open_shards() const { return channels_.size(); }
 
@@ -139,7 +148,7 @@ class CollectorClient {
   Result<ShardCloseSummary> Close() { return CloseShard(primary_); }
 
   /// Negotiates another primary shard on the same connection (after
-  /// Close).
+  /// Close), synchronously like Connect.
   Status Reopen(const stream::StreamHeader& header, uint64_t ordinal);
 
   /// Asks the server to close the current collection epoch and open the
@@ -150,71 +159,112 @@ class CollectorClient {
   /// Server-side shard id of the primary shard (diagnostic).
   uint64_t shard() const { return shard_; }
 
-  /// The epoch the most recently opened shard folds into.
+  /// The epoch named by the latest HELLO_OK or EPOCH_ADVANCED read; the
+  /// next HELLO's authentication tag binds it.
   uint32_t epoch() const { return epoch_; }
 
-  /// resume_offset of the primary shard.
+  /// Post-header bytes already durable server-side for the primary shard
+  /// (WAL resume handshake); 0 for a fresh shard.
   uint64_t resume_offset() const { return resume_offset_; }
 
   bool shard_open() const { return channels_.count(primary_) != 0; }
 
  private:
-  /// One open (or closing) shard multiplexed over the connection.
+  /// One open (or closing) shard multiplexed over the connection. Kept
+  /// small: a reporter that awaits its verdicts late holds one per shard.
   struct ShardChannel {
-    uint64_t shard = 0;
-    uint64_t resume_offset = 0;
     std::string staged;
     uint64_t sent_bytes = 0;   ///< Post-header bytes shipped in DATA.
     uint64_t acked_bytes = 0;  ///< Server's cumulative DATA_ACK watermark.
-    bool closing = false;      ///< CLOSE_SHARD sent, verdict not yet read.
+    /// The SHARD_CLOSED verdict once read (its message, only present on
+    /// error, is in verdict_messages_).
+    stream::ShardIngester::Stats stats;
+    uint8_t code = 0;
+    bool admitted = false;  ///< HELLO_OK read.
+    bool closing = false;   ///< CLOSE_SHARD sent.
+    bool closed = false;    ///< SHARD_CLOSED read; the verdict is above.
+  };
+
+  /// One reply: a view into inbuf_, valid until the next read.
+  struct Reply {
+    MessageType type = MessageType::kError;
+    std::string_view payload;
   };
 
   explicit CollectorClient(Socket socket, CollectorClientOptions options)
       : socket_(std::move(socket)), options_(options) {}
 
-  /// Sends HELLO for (`channel`, `ordinal`) and consumes the HELLO_OK /
-  /// ERROR reply, registering the channel on success.
-  Status Negotiate(const stream::StreamHeader& header, uint64_t ordinal,
-                   uint32_t channel);
+  /// Appends a HELLO for (`channel`, `ordinal`) to wire_ and registers the
+  /// channel, not yet admitted.
+  Status StageHello(const stream::StreamHeader& header, uint64_t ordinal,
+                    uint32_t channel, uint32_t flags);
+
+  /// The synchronous HELLO of Connect/Reopen: stages it on the primary
+  /// channel, sends wire_ and reads replies until the channel's HELLO_OK
+  /// (or the refusal) arrives.
+  Status Negotiate(const stream::StreamHeader& header, uint64_t ordinal);
 
   /// Appends `channel`'s staged bytes to wire_ as one DATA message (none
   /// when nothing is staged), blocking for acks first when the window is
   /// full.
   Status AppendStaged(uint32_t channel, ShardChannel& state);
 
-  /// Sends wire_ in one write. On failure, returns the server's pending
-  /// ERROR verdict when one arrives, else the send error.
+  /// Sends wire_ in one write and clears it; past the reply backlog, then
+  /// reads whatever replies have arrived. On a send failure, returns the
+  /// server's pending ERROR verdict when one arrives, else the send error.
   Status SendWire();
 
   /// Ships `channel`'s staged buffer as one DATA message.
   Status Flush(uint32_t channel, ShardChannel& state);
 
+  /// Takes the next whole message out of inbuf_; false when none is
+  /// buffered.
+  Result<bool> TakeBuffered(Reply* reply);
+
+  /// One recv into inbuf_ (blocking, or only what has already arrived).
+  /// Returns whether the read filled its whole request, i.e. whether the
+  /// socket may hold more.
+  Result<bool> Fill(bool wait);
+
   /// Returns the next message, reading the socket only when inbuf_ holds
   /// no whole one.
-  Result<std::pair<MessageType, std::string>> ReadMessage();
+  Result<Reply> ReadMessage();
 
-  /// Applies one DATA_ACK's cumulative watermarks to the channel windows.
-  Status ProcessAck(const std::string& payload);
+  /// Applies one reply: DATA_ACKs update windows, HELLO_OK admits its
+  /// channel, SHARD_CLOSED stores its channel's verdict, ERROR becomes the
+  /// connection's sticky verdict and the returned status.
+  Status ApplyReply(const Reply& reply);
 
-  /// Reads and processes exactly one message: DATA_ACKs update windows,
-  /// early SHARD_CLOSEDs are stashed, ERROR becomes the returned status.
+  /// Reads and applies exactly one message.
   Status PumpMessage();
 
-  /// Pumps until a message of `expected` type arrives (for kShardClosed,
-  /// one whose channel is `want_channel`); returns its payload.
-  Result<std::string> AwaitReply(MessageType expected, uint32_t want_channel);
+  /// Reads and applies every reply that has already arrived, without
+  /// blocking.
+  Status DrainReplies();
+
+  /// Applies one DATA_ACK's cumulative watermarks to the channel windows.
+  Status ProcessAck(std::string_view payload);
 
   uint64_t TotalInFlight() const;
 
   Socket socket_;
   ReadBuffer inbuf_;   ///< Received bytes not yet returned by ReadMessage.
-  std::string wire_;   ///< Outgoing messages, reused across writes.
+  /// Outgoing messages: staged HELLOs, then whatever the next write adds.
+  /// Reused across writes.
+  std::string wire_;
   CollectorClientOptions options_;
   /// 0 when acks are off; otherwise the clamped in-flight bound.
   uint64_t effective_window_ = 0;
-  std::map<uint32_t, ShardChannel> channels_;
-  /// SHARD_CLOSED payloads that arrived while awaiting something else.
-  std::map<uint32_t, std::string> closed_payloads_;
+  std::unordered_map<uint32_t, ShardChannel> channels_;
+  /// Messages of failed verdicts, by channel (a clean verdict has none).
+  std::map<uint32_t, std::string> verdict_messages_;
+  /// The server's ERROR once read: the connection is closed, and every
+  /// later call that needs the wire returns it.
+  Status refusal_ = Status::OK();
+  /// HELLO_OK and SHARD_CLOSED replies owed for messages staged or sent,
+  /// and the count at which the next write drains the arrived ones.
+  uint64_t owed_replies_ = 0;
+  uint64_t drain_at_ = 0;
   uint32_t next_channel_ = 0;
   uint32_t primary_ = 0;
   uint64_t shard_ = 0;

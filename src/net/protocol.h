@@ -28,7 +28,10 @@
 // open shards over one connection; ids are free for reuse once their
 // SHARD_CLOSED arrives. A client may pipeline several CLOSE_SHARDs and
 // await them in any order, and DATA_ACKs interleave with the verdicts —
-// clients must match replies by channel, not by order.
+// clients must match replies by channel, not by order. A client may also
+// pipeline HELLOs: DATA and CLOSE_SHARD may follow a HELLO in the same
+// write, before its HELLO_OK arrives (a refused HELLO closes the
+// connection, so nothing behind it is ever read).
 //
 // The HELLO payload carries the exact report-stream header
 // (stream/report_stream.h) the subsequent DATA bytes would have started
@@ -79,6 +82,14 @@ inline constexpr size_t kHelloAuthTagBytes = 32;
 /// HELLO flag bit: the client wants batched DATA_ACK messages (cumulative
 /// per-channel byte watermarks) so it can bound its in-flight window.
 inline constexpr uint32_t kHelloFlagDataAcks = 1u << 0;
+
+/// HELLO flag bit: the client streams this shard from its first byte. A
+/// pipelined HELLO (CollectorClient::OpenShard) sends DATA before it could
+/// read HELLO_OK's resume_offset, so when the ordinal has a WAL resume
+/// entry the server abandons the replayed partial shard and opens a fresh
+/// one (HELLO_OK then carries resume_offset 0) instead of re-attaching,
+/// which would count the durable prefix twice.
+inline constexpr uint32_t kHelloFlagFromStart = 1u << 1;
 
 /// Every DATA payload starts with the u32 channel id of the shard the
 /// frame bytes belong to.

@@ -115,8 +115,8 @@ Result<std::unique_ptr<ReportServer>> ReportServer::Start(
   // exists (no lock needed yet): a re-HELLO for an ordinal the replay
   // already closed is refused.
   server->resume_shards_ = options.resume_shards;
-  if (options.expected_shards > 0) {
-    server->done_ordinals_ = options.completed_ordinals;
+  for (const uint64_t ordinal : options.completed_ordinals) {
+    server->MarkOrdinalDone(ordinal);
   }
   server->loops_.reserve(options.acceptors);
   for (unsigned i = 0; i < options.acceptors; ++i) {
@@ -763,6 +763,17 @@ bool ReportServer::HandleHello(Loop& loop,
       resume_shards_.erase(found);
     }
   }
+  if (is_resume && (hello.value().flags & kHelloFlagFromStart) != 0) {
+    // A pipelined HELLO streams its shard from byte 0 (it could not wait
+    // for resume_offset), so re-attaching would count the durable prefix
+    // twice: log the replayed partial shard abandoned, drop it, and open
+    // afresh below. The reopen's ledger charge is idempotent — the replay
+    // already charged this (reporter, epoch).
+    if (options_.wal != nullptr) options_.wal->OnShardAbandon(resumed.shard);
+    (void)session_->AbandonShard(resumed.shard);
+    CountAbandoned();
+    is_resume = false;
+  }
   ChannelState state;
   state.ordinal = hello.value().ordinal;
   if (is_resume) {
@@ -1133,7 +1144,7 @@ Status ReportServer::RegisterOrdinal(uint64_t ordinal) {
       return Status::OutOfRange(
           "shard ordinal exceeds the campaign's expected shard count");
     }
-    if (done_ordinals_.count(ordinal) != 0) {
+    if (ordinal < done_ordinals_.size() && done_ordinals_[ordinal]) {
       return Status::AlreadyExists(
           "shard ordinal already completed this epoch");
     }
@@ -1147,7 +1158,16 @@ Status ReportServer::RegisterOrdinal(uint64_t ordinal) {
 void ReportServer::FinishOrdinal(uint64_t ordinal, bool closed) {
   std::lock_guard<std::mutex> lock(mutex_);
   active_ordinals_.erase(ordinal);
-  if (closed && options_.expected_shards > 0) done_ordinals_.insert(ordinal);
+  if (closed) MarkOrdinalDone(ordinal);
+}
+
+void ReportServer::MarkOrdinalDone(uint64_t ordinal) {
+  // Expected-shards mode only (no flags when expected_shards is 0). Grown
+  // on demand: a campaign's flags cost one bit per ordinal up to the
+  // highest one completed, never more than expected_shards bits.
+  if (ordinal >= options_.expected_shards) return;
+  if (ordinal >= done_ordinals_.size()) done_ordinals_.resize(ordinal + 1);
+  done_ordinals_[ordinal] = true;
 }
 
 void ReportServer::CountProtocolError() {

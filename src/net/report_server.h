@@ -153,9 +153,11 @@ struct ReportServerOptions {
   ShardDurabilityHook* wal = nullptr;
   /// Shards a WAL replay left open, keyed by ordinal: a HELLO for one of
   /// these re-attaches instead of opening a new shard, and HELLO_OK carries
-  /// its durable byte count. Entries are claimed by the first matching
-  /// HELLO and the whole map is dropped on epoch advance (a new epoch has
-  /// no pre-crash shards).
+  /// its durable byte count. A HELLO with kHelloFlagFromStart (the reporter
+  /// resends the whole shard) instead abandons the replayed shard, WAL
+  /// record included, and opens a fresh one with resume_offset 0. Entries
+  /// are claimed by the first matching HELLO and the whole map is dropped
+  /// on epoch advance (a new epoch has no pre-crash shards).
   std::unordered_map<uint64_t, ResumedShard> resume_shards;
   /// Ordinals a WAL replay already closed into the current epoch: with
   /// expected_shards set they seed the closed-ordinal set, so a re-HELLO
@@ -365,6 +367,9 @@ class ReportServer {
   /// Releases `ordinal` from the streaming set. A `closed` ordinal joins
   /// the expected-shards duplicate set; an abandoned one may stream again.
   void FinishOrdinal(uint64_t ordinal, bool closed);
+  /// Flags `ordinal` as closed this epoch (mutex_ held, or before the loops
+  /// start).
+  void MarkOrdinalDone(uint64_t ordinal);
   void CountProtocolError();
   void CountAbandoned();
 
@@ -380,9 +385,10 @@ class ReportServer {
   mutable std::mutex mutex_;
   /// Ordinals of open shards: a second HELLO for one is refused.
   std::set<uint64_t> active_ordinals_;
-  /// Expected-shards mode only: ordinals whose shard closed in the current
-  /// epoch. Reset when the epoch advances.
-  std::set<uint64_t> done_ordinals_;
+  /// Expected-shards mode only: a flag per ordinal in [0, expected_shards)
+  /// whose shard closed in the current epoch (absent past the end = not
+  /// done). Reset when the epoch advances.
+  std::vector<bool> done_ordinals_;
   /// Replay-resumable shards not yet claimed by a HELLO (see Options).
   std::unordered_map<uint64_t, ResumedShard> resume_shards_;
   /// The latest snapshot accepted from each relay node.

@@ -242,10 +242,18 @@ Status Socket::SetNonBlocking() {
 }
 
 Result<size_t> Socket::RecvSome(void* data, size_t size, bool* eof) {
+  return Recv(data, size, 0, eof);
+}
+
+Result<size_t> Socket::RecvAvailable(void* data, size_t size, bool* eof) {
+  return Recv(data, size, MSG_DONTWAIT, eof);
+}
+
+Result<size_t> Socket::Recv(void* data, size_t size, int flags, bool* eof) {
   if (fd_ < 0) return Status::FailedPrecondition("socket is closed");
   *eof = false;
   while (true) {
-    const ssize_t received = ::recv(fd_, data, size, 0);
+    const ssize_t received = ::recv(fd_, data, size, flags);
     if (received < 0) {
       if (errno == EINTR) continue;
       if (IsTimeout(errno)) return size_t{0};  // would block

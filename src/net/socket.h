@@ -89,11 +89,18 @@ class Socket {
   /// I/O faults are errors.
   Result<size_t> RecvSome(void* data, size_t size, bool* eof);
 
+  /// RecvSome that never blocks, even on a blocking socket (MSG_DONTWAIT):
+  /// returns what has already arrived, or 0 when nothing has.
+  Result<size_t> RecvAvailable(void* data, size_t size, bool* eof);
+
   /// One non-blocking send: returns the bytes written, or 0 when the socket
   /// would block. SIGPIPE-safe like SendAll.
   Result<size_t> SendSome(const void* data, size_t size);
 
  private:
+  /// One recv with `flags`; would-block reads 0 (see RecvSome).
+  Result<size_t> Recv(void* data, size_t size, int flags, bool* eof);
+
   int fd_ = -1;
 };
 

@@ -22,6 +22,7 @@
 #include "net/client.h"
 #include "net/report_server.h"
 #include "net/socket.h"
+#include "obs/metrics.h"
 #include "stream/report_stream.h"
 #include "stream_corpus_util.h"
 
@@ -937,6 +938,207 @@ TEST(CollectorClientTest, VerdictsReadTogetherMatchTheirChannelsInReverse) {
     EXPECT_EQ(summary.value().stats.accepted, (s + 1) * kCorpusReports);
   }
   EXPECT_EQ(client.value().open_shards(), 0u);
+  server.value()->Stop(/*drain=*/true);
+  EXPECT_EQ(session.value().Snapshot(),
+            DirectSessionSnapshot(pipeline, streams));
+}
+
+// --- pipelined HELLOs ----------------------------------------------------
+
+// The header and first frame of `stream`: a one-report shard.
+std::string FirstFrameOnly(const std::string& stream) {
+  const size_t at = stream::kStreamHeaderBytes;
+  const auto* p = reinterpret_cast<const unsigned char*>(stream.data() + at);
+  const size_t length = static_cast<size_t>(p[0]) |
+                        (static_cast<size_t>(p[1]) << 8) |
+                        (static_cast<size_t>(p[2]) << 16) |
+                        (static_cast<size_t>(p[3]) << 24);
+  return stream.substr(0, at + 4 + length);
+}
+
+TEST(CollectorClientTest, PipelinedDuplicateOrdinalReturnsTheServerVerdict) {
+  // OpenShard does no I/O, so a duplicate ordinal cannot be refused there:
+  // the refusal arrives as the server's ERROR behind the replies of the
+  // earlier shards. The caller must get that verdict, not a bare I/O
+  // error, and the verdicts read before it must still be returned.
+  const api::Pipeline pipeline = MakeCorpusPipeline(/*numeric=*/false);
+  const std::vector<std::string> streams = MakeShardStreams(pipeline, 2);
+  auto session = pipeline.NewServer();
+  ASSERT_TRUE(session.ok());
+  net::ReportServerOptions options;
+  options.expected_shards = 4;
+  auto server =
+      net::ReportServer::Start(&session.value(), pipeline.header(),
+                               TestUdsEndpoint("pipelined_dup"), options);
+  ASSERT_TRUE(server.ok());
+  auto client = net::CollectorClient::Connect(server.value()->endpoint(),
+                                              pipeline.header(),
+                                              /*ordinal=*/0);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  const auto stream_shard = [&](uint32_t channel, const std::string& bytes) {
+    return client.value().Send(channel,
+                               bytes.data() + stream::kStreamHeaderBytes,
+                               bytes.size() - stream::kStreamHeaderBytes);
+  };
+  std::vector<uint32_t> channels = {0};
+  ASSERT_TRUE(stream_shard(0, streams[0]).ok());
+  ASSERT_TRUE(client.value().CloseShardBegin(0).ok());
+  auto second = client.value().OpenShard(pipeline.header(), /*ordinal=*/1);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  channels.push_back(second.value());
+  ASSERT_TRUE(stream_shard(second.value(), streams[1]).ok());
+  ASSERT_TRUE(client.value().CloseShardBegin(second.value()).ok());
+  // Ordinal 0 merged before this HELLO is read (one connection is handled
+  // in order), so the server refuses it as already completed.
+  auto dup = client.value().OpenShard(pipeline.header(), /*ordinal=*/0);
+  ASSERT_TRUE(dup.ok()) << dup.status().ToString();
+  ASSERT_TRUE(stream_shard(dup.value(), streams[0]).ok());
+  const Status closing = client.value().CloseShardBegin(dup.value());
+  if (!closing.ok()) {
+    EXPECT_EQ(closing.code(), StatusCode::kAlreadyExists)
+        << closing.ToString();
+  }
+  // Awaited first, the refused channel reads past both earlier verdicts.
+  auto refused = client.value().AwaitShardClosed(dup.value());
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kAlreadyExists)
+      << refused.status().ToString();
+  for (size_t s = 0; s < channels.size(); ++s) {
+    auto summary = client.value().AwaitShardClosed(channels[s]);
+    ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+    EXPECT_TRUE(summary.value().status.ok());
+    EXPECT_EQ(summary.value().stats.accepted, kCorpusReports);
+  }
+  // The connection stays refused.
+  auto after = client.value().OpenShard(pipeline.header(), /*ordinal=*/2);
+  ASSERT_FALSE(after.ok());
+  EXPECT_EQ(after.status().code(), StatusCode::kAlreadyExists);
+  server.value()->Stop(/*drain=*/true);
+
+  EXPECT_EQ(server.value()->stats().hello_rejected, 1u);
+  EXPECT_EQ(server.value()->stats().shards_merged, 2u);
+  EXPECT_EQ(session.value().Snapshot(),
+            DirectSessionSnapshot(pipeline, streams));
+}
+
+TEST(CollectorClientTest, TwentyThousandTinyShardsAwaitedAtTheEndFinish) {
+  // A reporter that pipelines every shard and awaits every verdict only at
+  // the end: each shard is one write (HELLO + DATA + CLOSE_SHARD), and the
+  // client drains arrived replies past its backlog bound so neither side
+  // buffers the whole campaign. The collector reads many messages per recv.
+  constexpr size_t kShards = 20000;
+  const api::Pipeline pipeline = MakeCorpusPipeline(/*numeric=*/false);
+  std::vector<std::string> bodies;
+  for (size_t b = 0; b < 16; ++b) {
+    bodies.push_back(
+        FirstFrameOnly(MakeHonestStream(pipeline, /*seed=*/1300 + b)));
+  }
+  std::vector<std::string> streams;
+  streams.reserve(kShards);
+  for (size_t s = 0; s < kShards; ++s) {
+    streams.push_back(bodies[s % bodies.size()]);
+  }
+
+  obs::MetricsRegistry registry;
+  auto session = pipeline.NewServer();
+  ASSERT_TRUE(session.ok());
+  net::ReportServerOptions options;
+  options.expected_shards = kShards;
+  options.metrics = &registry;
+  auto server =
+      net::ReportServer::Start(&session.value(), pipeline.header(),
+                               TestUdsEndpoint("tiny_shards"), options);
+  ASSERT_TRUE(server.ok());
+  auto client = net::CollectorClient::Connect(server.value()->endpoint(),
+                                              pipeline.header(),
+                                              /*ordinal=*/0);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  std::vector<uint32_t> channels;
+  channels.reserve(kShards);
+  for (size_t s = 0; s < kShards; ++s) {
+    uint32_t channel = 0;
+    if (s > 0) {
+      auto opened = client.value().OpenShard(pipeline.header(), s);
+      ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+      channel = opened.value();
+    }
+    const std::string& bytes = streams[s];
+    ASSERT_TRUE(client.value()
+                    .Send(channel, bytes.data() + stream::kStreamHeaderBytes,
+                          bytes.size() - stream::kStreamHeaderBytes)
+                    .ok());
+    ASSERT_TRUE(client.value().CloseShardBegin(channel).ok());
+    channels.push_back(channel);
+  }
+  for (const uint32_t channel : channels) {
+    auto summary = client.value().AwaitShardClosed(channel);
+    ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+    ASSERT_TRUE(summary.value().status.ok());
+    ASSERT_EQ(summary.value().stats.accepted, 1u);
+  }
+  EXPECT_EQ(client.value().open_shards(), 0u);
+  server.value()->Stop(/*drain=*/true);
+
+  EXPECT_EQ(server.value()->stats().shards_merged, kShards);
+  // Three messages per shard; a recv per client write would still be a
+  // third of that, and batching brings it lower.
+  const uint64_t reads =
+      registry.GetCounter("ldp_net_reads_total")->Value();
+  EXPECT_LT(reads, 3 * kShards / 2) << reads << " reads";
+  EXPECT_EQ(session.value().Snapshot(),
+            DirectSessionSnapshot(pipeline, streams));
+}
+
+TEST(CollectorClientTest, BlockingReopenMatchesItsHelloOkByChannel) {
+  // Two pipelined shards are opened, streamed and closed, and nothing is
+  // read. Reopen's synchronous HELLO then reads past their HELLO_OKs and
+  // verdicts, applies them, and takes the HELLO_OK of its own channel —
+  // not the first one to arrive.
+  const api::Pipeline pipeline = MakeCorpusPipeline(/*numeric=*/false);
+  const std::vector<std::string> streams = MakeShardStreams(pipeline, 4);
+  auto session = pipeline.NewServer();
+  ASSERT_TRUE(session.ok());
+  auto server = net::ReportServer::Start(&session.value(), pipeline.header(),
+                                         TestUdsEndpoint("reopen_match"), {});
+  ASSERT_TRUE(server.ok());
+  auto client = net::CollectorClient::Connect(server.value()->endpoint(),
+                                              pipeline.header(),
+                                              /*ordinal=*/0);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  const auto frames = [&](size_t s) {
+    return streams[s].substr(stream::kStreamHeaderBytes);
+  };
+  ASSERT_TRUE(client.value().Send(frames(0)).ok());
+  auto first = client.value().Close();
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_TRUE(first.value().status.ok());
+
+  std::vector<uint32_t> pipelined;
+  for (size_t s = 1; s <= 2; ++s) {
+    auto channel = client.value().OpenShard(pipeline.header(), s);
+    ASSERT_TRUE(channel.ok()) << channel.status().ToString();
+    const std::string bytes = frames(s);
+    ASSERT_TRUE(
+        client.value().Send(channel.value(), bytes.data(), bytes.size()).ok());
+    ASSERT_TRUE(client.value().CloseShardBegin(channel.value()).ok());
+    pipelined.push_back(channel.value());
+  }
+  // One connection is served in order, so every pipelined reply lands
+  // ahead of the Reopen's HELLO_OK.
+  ASSERT_TRUE(client.value().Reopen(pipeline.header(), /*ordinal=*/3).ok());
+  // Session shard ids follow HELLO order: ordinals 0..3 are shards 0..3.
+  EXPECT_EQ(client.value().shard(), 3u);
+  EXPECT_EQ(client.value().resume_offset(), 0u);
+  ASSERT_TRUE(client.value().Send(frames(3)).ok());
+  auto last = client.value().Close();
+  ASSERT_TRUE(last.ok()) << last.status().ToString();
+  EXPECT_TRUE(last.value().status.ok());
+  for (const uint32_t channel : pipelined) {
+    auto summary = client.value().AwaitShardClosed(channel);
+    ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+    EXPECT_TRUE(summary.value().status.ok());
+    EXPECT_EQ(summary.value().stats.accepted, kCorpusReports);
+  }
   server.value()->Stop(/*drain=*/true);
   EXPECT_EQ(session.value().Snapshot(),
             DirectSessionSnapshot(pipeline, streams));

@@ -497,6 +497,112 @@ TEST(WalTest, ServerResumeHandshakeContinuesACrashedCampaign) {
   EXPECT_EQ(session.value().Snapshot(), direct.value().Snapshot());
 }
 
+TEST(WalTest, PipelinedHelloForAResumableOrdinalResendsTheWholeShard) {
+  // A pipelined HELLO (OpenShard) streams before it could read HELLO_OK's
+  // resume_offset, so it resends its shard from byte 0 and says so with
+  // kHelloFlagFromStart. For an ordinal the replay left open, the server
+  // must drop the replayed prefix (WAL abandon record included) and open
+  // afresh: the durable prefix counts once, the reporter's ledger is
+  // charged once, and a second replay of the log agrees.
+  const api::Pipeline pipeline = MakeCorpusPipeline(/*numeric=*/false);
+  const std::string kKey = "pipelined-resume-key";
+  const std::vector<std::string> streams = {MakeHonestStream(pipeline, 970),
+                                            MakeHonestStream(pipeline, 971)};
+  const std::string dir = TestWalDir("pipelined_resume");
+  const std::string& cut_stream = streams[1];
+  const std::string header = cut_stream.substr(0, stream::kStreamHeaderBytes);
+  const char* data = cut_stream.data() + stream::kStreamHeaderBytes;
+  const size_t total = cut_stream.size() - stream::kStreamHeaderBytes;
+  const size_t partial = total / 2 + 7;
+
+  {  // The crashed run: alice's ordinal 1 cut mid-stream.
+    auto logged = pipeline.NewServer();
+    ASSERT_TRUE(logged.ok());
+    relay::WalReplaySummary empty;
+    auto wal = relay::FrameWal::Open(dir, &logged.value(),
+                                     relay::FrameWal::Options(), &empty);
+    ASSERT_TRUE(wal.ok());
+    auto cut = logged.value().OpenShard("alice");
+    ASSERT_TRUE(cut.ok());
+    wal.value()->OnShardOpen(cut.value(), /*ordinal=*/1,
+                             logged.value().current_epoch(), "alice", header);
+    ASSERT_TRUE(logged.value().Feed(cut.value(), header).ok());
+    wal.value()->OnShardData(cut.value(), data, partial);
+    ASSERT_TRUE(logged.value().Feed(cut.value(), data, partial).ok());
+  }
+
+  auto session = pipeline.NewServer();
+  ASSERT_TRUE(session.ok());
+  relay::WalReplaySummary summary;
+  auto wal = relay::FrameWal::Open(dir, &session.value(),
+                                   relay::FrameWal::Options(), &summary);
+  ASSERT_TRUE(wal.ok());
+  ASSERT_EQ(summary.shards_resumed, 1u);
+  net::ReportServerOptions options;
+  options.expected_shards = 2;
+  options.campaign_key = kKey;
+  options.wal = wal.value().get();
+  options.resume_shards = summary.resume_shards;
+  options.completed_ordinals = summary.completed_ordinals;
+  net::Endpoint endpoint;
+  endpoint.kind = net::Endpoint::Kind::kUnix;
+  endpoint.path = dir + ".sock";
+  auto server = net::ReportServer::Start(&session.value(), pipeline.header(),
+                                         endpoint, options);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+
+  net::CollectorClientOptions client_options;
+  client_options.reporter_id = "alice";
+  client_options.campaign_key = kKey;
+  auto client = net::CollectorClient::Connect(server.value()->endpoint(),
+                                              pipeline.header(),
+                                              /*ordinal=*/0, client_options);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  EXPECT_EQ(client.value().resume_offset(), 0u);
+  ASSERT_TRUE(client.value()
+                  .Send(streams[0].substr(stream::kStreamHeaderBytes))
+                  .ok());
+  auto first = client.value().Close();
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_TRUE(first.value().status.ok());
+  auto channel = client.value().OpenShard(pipeline.header(), /*ordinal=*/1);
+  ASSERT_TRUE(channel.ok()) << channel.status().ToString();
+  ASSERT_TRUE(client.value().Send(channel.value(), data, total).ok());
+  auto resent = client.value().CloseShard(channel.value());
+  ASSERT_TRUE(resent.ok()) << resent.status().ToString();
+  EXPECT_TRUE(resent.value().status.ok());
+  EXPECT_EQ(resent.value().stats.accepted, kCorpusReports);
+  server.value()->Stop(/*drain=*/true);
+  EXPECT_EQ(server.value()->stats().shards_merged, 2u);
+  EXPECT_EQ(server.value()->stats().shards_abandoned, 1u);
+  wal.value().reset();
+
+  auto direct = pipeline.NewServer();
+  ASSERT_TRUE(direct.ok());
+  for (const std::string& stream : streams) {
+    auto shard = direct.value().OpenShard("alice");
+    ASSERT_TRUE(shard.ok());
+    ASSERT_TRUE(direct.value().Feed(shard.value(), stream).ok());
+    ASSERT_TRUE(direct.value().CloseShard(shard.value()).ok());
+  }
+  const std::string reference = direct.value().Snapshot();
+  EXPECT_EQ(session.value().accountant().Spent("alice"),
+            pipeline.header().epsilon);
+  EXPECT_EQ(session.value().Snapshot(), reference);
+
+  // The abandon record retires the replayed prefix: a second crash
+  // replays to the same session, with nothing left to resume.
+  auto replayed = pipeline.NewServer();
+  ASSERT_TRUE(replayed.ok());
+  relay::WalReplaySummary again;
+  ASSERT_TRUE(relay::ReplayWalDir(dir, &replayed.value(), nullptr, nullptr,
+                                  &again)
+                  .ok());
+  EXPECT_EQ(again.shards_resumed, 0u);
+  EXPECT_EQ(again.shards_replayed, 2u);
+  EXPECT_EQ(replayed.value().Snapshot(), reference);
+}
+
 TEST(WalTest, HeaderMismatchAgainstExpectedPoisonsTheShard) {
   const api::Pipeline mixed = MakeCorpusPipeline(/*numeric=*/false);
   const api::Pipeline numeric = MakeCorpusPipeline(/*numeric=*/true);
